@@ -22,6 +22,7 @@ from .samplers import (
     TargetSpec,
     _FixedNoise,
     _STEP_FNS,
+    _noise_dim,
     run_ensemble,
     validate_params,
 )
@@ -75,7 +76,7 @@ def run_coupled_pair(
 
     a = ChainState.initial(*init_a)
     b = ChainState.initial(*init_b)
-    noise_dim = a.x.shape[-1]
+    noise_dim = _noise_dim(target, params, kind)
     rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(params.seed)))
 
     rec = {k: [] for k in ("primal_sq", "dual_sq", "incr_sq", "cross", "delta", "plain")}

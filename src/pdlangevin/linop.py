@@ -63,6 +63,25 @@ def diff_pair() -> LinearMap:
     return LinearMap(apply=apply, adjoint=adjoint, dim_in=2, dim_out=1, label="diff_pair")
 
 
+def _forward_diffs_into(img, out) -> None:
+    """Write the forward differences of ``img`` (..., h, w) into ``out``
+    (..., h, w, 2), zero across the last column and the last row."""
+    np.subtract(img[..., :, 1:], img[..., :, :-1], out=out[..., :, :-1, 0])
+    out[..., :, -1, 0] = 0.0
+    np.subtract(img[..., 1:, :], img[..., :-1, :], out=out[..., :-1, :, 1])
+    out[..., -1, :, 1] = 0.0
+
+
+def _neg_divergence_into(g, out) -> None:
+    """Adjoint of :func:`_forward_diffs_into`: ``g`` (..., h, w, 2) into ``out`` (..., h, w)."""
+    gh, gv = g[..., 0], g[..., 1]
+    out[...] = 0.0
+    out[..., :, 1:] += gh[..., :, :-1]
+    out[..., :, :-1] -= gh[..., :, :-1]
+    out[..., 1:, :] += gv[..., :-1, :]
+    out[..., :-1, :] -= gv[..., :-1, :]
+
+
 def grad2d(width: int, height: int) -> LinearMap:
     """Forward-difference gradient on a ``height x width`` image.
 
@@ -75,24 +94,14 @@ def grad2d(width: int, height: int) -> LinearMap:
 
     def apply(x):
         x = np.asarray(x, dtype=float)
-        img = x.reshape(x.shape[:-1] + (height, width))
-        gh = np.zeros_like(img)
-        gv = np.zeros_like(img)
-        gh[..., :, :-1] = img[..., :, 1:] - img[..., :, :-1]
-        gv[..., :-1, :] = img[..., 1:, :] - img[..., :-1, :]
-        out = np.stack([gh, gv], axis=-1)
+        out = np.empty(x.shape[:-1] + (height, width, 2))
+        _forward_diffs_into(x.reshape(x.shape[:-1] + (height, width)), out)
         return out.reshape(x.shape[:-1] + (2 * d,))
 
     def adjoint(y):
         y = np.asarray(y, dtype=float)
-        g = y.reshape(y.shape[:-1] + (height, width, 2))
-        gh, gv = g[..., 0], g[..., 1]
-        out = np.zeros(y.shape[:-1] + (height, width))
-        # negative divergence of the (gh, gv) field
-        out[..., :, 1:] += gh[..., :, :-1]
-        out[..., :, :-1] -= gh[..., :, :-1]
-        out[..., 1:, :] += gv[..., :-1, :]
-        out[..., :-1, :] -= gv[..., :-1, :]
+        out = np.empty(y.shape[:-1] + (height, width))
+        _neg_divergence_into(y.reshape(y.shape[:-1] + (height, width, 2)), out)
         return out.reshape(y.shape[:-1] + (d,))
 
     return LinearMap(
@@ -113,47 +122,58 @@ def sym_grad2d(width: int, height: int) -> LinearMap:
     d = width * height
     root2 = np.sqrt(2.0)
 
-    def _bh(a):
+    def _bh(a, out):
         # backward difference along width, zero at the first column
-        out = np.zeros_like(a)
-        out[..., :, 1:] = a[..., :, 1:] - a[..., :, :-1]
-        return out
+        out[..., :, 0] = 0.0
+        np.subtract(a[..., :, 1:], a[..., :, :-1], out=out[..., :, 1:])
 
-    def _bv(a):
-        out = np.zeros_like(a)
-        out[..., 1:, :] = a[..., 1:, :] - a[..., :-1, :]
-        return out
+    def _bv(a, out):
+        out[..., 0, :] = 0.0
+        np.subtract(a[..., 1:, :], a[..., :-1, :], out=out[..., 1:, :])
 
-    def _bh_t(a):
-        # adjoint of _bh
-        out = np.zeros_like(a)
-        out[..., :, :-1] -= a[..., :, 1:]
+    def _bh_t(a, out):
+        # adjoint of _bh, summed as (0 - a[j+1]) + a[j]
+        np.subtract(0.0, a[..., :, 1:], out=out[..., :, :-1])
+        out[..., :, -1] = 0.0
         out[..., :, 1:] += a[..., :, 1:]
-        return out
 
-    def _bv_t(a):
-        out = np.zeros_like(a)
-        out[..., :-1, :] -= a[..., 1:, :]
+    def _bv_t(a, out):
+        np.subtract(0.0, a[..., 1:, :], out=out[..., :-1, :])
+        out[..., -1, :] = 0.0
         out[..., 1:, :] += a[..., 1:, :]
-        return out
 
     def apply(v):
         v = np.asarray(v, dtype=float)
         f = v.reshape(v.shape[:-1] + (height, width, 2))
         vh, vv = f[..., 0], f[..., 1]
-        w11 = _bh(vh)
-        w22 = _bv(vv)
-        w12 = 0.5 * (_bv(vh) + _bh(vv))
-        out = np.stack([w11, w22, root2 * w12], axis=-1)
+        out = np.empty(v.shape[:-1] + (height, width, 3))
+        _bh(vh, out[..., 0])
+        _bv(vv, out[..., 1])
+        w12 = out[..., 2]
+        tmp = np.empty(vh.shape)
+        _bv(vh, w12)
+        _bh(vv, tmp)
+        w12 += tmp
+        w12 *= 0.5
+        w12 *= root2
         return out.reshape(v.shape[:-1] + (3 * d,))
 
     def adjoint(w):
         w = np.asarray(w, dtype=float)
         g = w.reshape(w.shape[:-1] + (height, width, 3))
         w11, w22, w12s = g[..., 0], g[..., 1], g[..., 2]
-        vh = _bh_t(w11) + 0.5 * root2 * _bv_t(w12s)
-        vv = _bv_t(w22) + 0.5 * root2 * _bh_t(w12s)
-        out = np.stack([vh, vv], axis=-1)
+        out = np.empty(w.shape[:-1] + (height, width, 2))
+        vh, vv = out[..., 0], out[..., 1]
+        tmp = np.empty(w11.shape)
+        scale = 0.5 * root2
+        _bh_t(w11, vh)
+        _bv_t(w12s, tmp)
+        tmp *= scale
+        vh += tmp
+        _bv_t(w22, vv)
+        _bh_t(w12s, tmp)
+        tmp *= scale
+        vv += tmp
         return out.reshape(w.shape[:-1] + (2 * d,))
 
     return LinearMap(
@@ -169,21 +189,32 @@ def tgv_block(width: int, height: int, sym_grad: LinearMap) -> LinearMap:
         raise ValueError(
             f"sym_grad input dim {sym_grad.dim_in} inconsistent with {width}x{height} image"
         )
-    grad = grad2d(width, height)
     n_in = d + 2 * d
     n_out = 2 * d + sym_grad.dim_out
+
+    def image(a, channels=None):
+        # view of a block of the last axis as an image; splitting one
+        # contiguous axis never copies, so writes reach ``a``
+        return a.reshape(a.shape[:-1] + (height, width) + ((channels,) if channels else ()))
 
     def apply(x):
         x = np.asarray(x, dtype=float)
         u, v = x[..., :d], x[..., d:]
-        top = grad.apply(u) - v
-        bottom = sym_grad.apply(v)
-        return np.concatenate([top, bottom], axis=-1)
+        out = np.empty(x.shape[:-1] + (n_out,))
+        top = out[..., : 2 * d]
+        _forward_diffs_into(image(u), image(top, 2))
+        top -= v
+        out[..., 2 * d :] = sym_grad.apply(v)
+        return out
 
     def adjoint(y):
         y = np.asarray(y, dtype=float)
         p, q = y[..., : 2 * d], y[..., 2 * d :]
-        return np.concatenate([grad.adjoint(p), -p + sym_grad.adjoint(q)], axis=-1)
+        out = np.empty(y.shape[:-1] + (n_in,))
+        _neg_divergence_into(image(p, 2), image(out[..., :d]))
+        # s - p is (-p) + s exactly
+        np.subtract(sym_grad.adjoint(q), p, out=out[..., d:])
+        return out
 
     return LinearMap(
         apply=apply, adjoint=adjoint, dim_in=n_in, dim_out=n_out,

@@ -83,18 +83,33 @@ def project_l2_ball_groups(v, alpha: float, group_size: int = 2, gamma: float = 
     components, e.g. (horizontal, vertical) pairs). Zero-norm groups are
     left untouched.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    v = _check_finite(v)
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    v = np.asarray(v, dtype=float)
     if v.shape[-1] % group_size != 0:
         raise ValueError(
             f"last axis of size {v.shape[-1]} not divisible by group size {group_size}"
         )
     g = v.reshape(v.shape[:-1] + (-1, group_size))
-    norms = np.linalg.norm(g, axis=-1, keepdims=True)
-    scale = np.ones_like(norms)
-    np.divide(alpha, norms, out=scale, where=norms > alpha)
-    return (g * scale).reshape(v.shape)
+    # squared norms summed component by component, in the order
+    # np.linalg.norm uses, so the result matches it bit for bit
+    norms = g[..., 0] * g[..., 0]
+    sq = np.empty_like(norms)
+    for k in range(1, group_size):
+        np.multiply(g[..., k], g[..., k], out=sq)
+        norms += sq
+    # a finite sum means every entry is finite; otherwise tell a non-finite
+    # entry from an overflowing square
+    if not np.isfinite(norms.sum()):
+        _check_finite(v)
+    np.sqrt(norms, out=norms)
+    # scale alpha / max(norm, alpha) is exactly 1 for groups inside the ball
+    np.maximum(norms, alpha, out=norms)
+    scale = np.divide(alpha, norms, out=norms)
+    out = np.empty(g.shape)
+    for k in range(group_size):
+        np.multiply(g[..., k], scale, out=out[..., k])
+    return out.reshape(v.shape)
 
 
 def prox_via_moreau(fstar_prox: ProxOperator, v, gamma: float) -> np.ndarray:

@@ -184,20 +184,29 @@ def ulpda_step(
     _check_dims(state, target)
     tau, sigma, theta = params.tau, params.sigma, params.theta
     K = target.K
-    x_theta = state.x + theta * (state.x - state.x_prev)
-    y_new = target.fstar_prox.eval(state.y + sigma * K.apply(x_theta), sigma)
-    drift_arg = state.x - tau * K.adjoint(y_new)
+    # Work in place only on arrays made here: the state's arrays, the noise
+    # and what K or a prox returns may be shared with the caller. IEEE sums
+    # and products commute, so the swapped operands change no bit.
+    x_theta = state.x - state.x_prev
+    x_theta *= theta
+    x_theta += state.x
+    dual_arg = sigma * K.apply(x_theta)
+    dual_arg += state.y
+    y_new = target.fstar_prox.eval(dual_arg, sigma)
+    drift_arg = tau * K.adjoint(y_new)
+    np.subtract(state.x, drift_arg, out=drift_arg)
     if params.noise_variant == "outer":
-        xi = rng.standard_normal(state.x.shape)
-        x_new = target.g_prox.eval(drift_arg, tau) + math.sqrt(2.0 * tau) * xi
+        x_new = math.sqrt(2.0 * tau) * rng.standard_normal(state.x.shape)
+        x_new += target.g_prox.eval(drift_arg, tau)
     elif params.noise_variant == "inner":
-        xi = rng.standard_normal(state.x.shape)
-        x_new = target.g_prox.eval(drift_arg + math.sqrt(2.0 * tau) * xi, tau)
+        drift_arg += math.sqrt(2.0 * tau) * rng.standard_normal(state.x.shape)
+        x_new = target.g_prox.eval(drift_arg, tau)
     else:  # general
         d, m = target.dim_primal, target.dim_dual
         xi = rng.standard_normal(state.x.shape[:-1] + (d + m,))
         root_tau = math.sqrt(tau)
-        x_new = target.g_prox.eval(drift_arg, tau) + root_tau * (xi @ np.asarray(params.B_X).T)
+        x_new = root_tau * (xi @ np.asarray(params.B_X).T)
+        x_new += target.g_prox.eval(drift_arg, tau)
         y_new = y_new + root_tau * (xi @ np.asarray(params.B_Y).T)
     return ChainState(x=x_new, y=y_new, x_prev=state.x, n=state.n + 1)
 
@@ -267,6 +276,12 @@ _STEP_FNS = {
     "prox_sub": prox_sub_step,
     "modified_sde": modified_sde_step,
 }
+
+
+def _noise_dim(target: TargetSpec, params: SamplerParams, kind: str) -> int:
+    """Length of one chain's standard-normal draw per step."""
+    general = kind == "ulpda" and params.noise_variant == "general"
+    return target.dim_primal + target.dim_dual if general else target.dim_primal
 
 
 class _FixedNoise:
@@ -365,8 +380,13 @@ def run_ensemble(
     Each chain owns a counter-based RNG stream derived from
     ``(params.seed, chain_index)``, so results are bit-reproducible and
     independent of batching. Samples are kept every ``thinning`` steps
-    after ``burn_in``. Optional checkpoints invoke a callback with the
-    current (X, Y) ensemble arrays at selected step counts.
+    after ``burn_in`` (plus the initial state when ``burn_in`` is 0), in
+    arrays of shape (n_kept, n_chains, dim) allocated before the first
+    step. Noise is drawn ``noise_block`` steps at a time into one reused
+    buffer of at most 2**22 doubles (32 MB); fewer steps per block when
+    the ensemble is large. Optional checkpoints invoke a callback with the
+    current (X, Y) ensemble arrays at selected step counts; the sampler
+    never writes into arrays it has handed out.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
@@ -375,40 +395,46 @@ def run_ensemble(
     validate_params(target, params)
     step_fn = _STEP_FNS[kind]
     d, m = target.dim_primal, target.dim_dual
-    noise_dim = d + m if (kind == "ulpda" and params.noise_variant == "general") else d
+    noise_dim = _noise_dim(target, params, kind)
 
     rngs = _chain_rngs(params.seed, n_chains)
     X, Y = _resolve_init(init, n_chains, d, m, rngs)
     state = ChainState.initial(X, Y)
 
-    kept_x, kept_y = [], []
-    if burn_in == 0 and n_steps >= 0:
-        kept_x.append(state.x.copy())
-        kept_y.append(state.y.copy())
+    # every thinning-th step after burn_in, from the first such step >= 1
+    first_kept = burn_in + thinning * max(1, -((burn_in - 1) // thinning))
+    kept_steps = range(first_kept, n_steps + 1, thinning)
+    keep_init = burn_in == 0 and n_steps >= 0
+    n_kept = keep_init + len(kept_steps)
+    xs = np.empty((max(n_kept, 1), n_chains, d))
+    ys = np.empty((max(n_kept, 1), n_chains, m))
+    n_filled = 0
+    if keep_init:
+        xs[0], ys[0] = state.x, state.y
+        n_filled = 1
     checkpoint_set = set(checkpoints) if checkpoints is not None else set()
 
-    # cap the noise buffer at ~64M doubles
-    block = max(1, min(noise_block, (1 << 26) // max(1, n_chains * noise_dim)))
+    # cap the noise buffer at 2**22 doubles (32 MB)
+    block = max(1, min(noise_block, (1 << 22) // max(1, n_chains * noise_dim)))
+    noise = np.empty((min(block, max(n_steps, 0)), n_chains, noise_dim))
     step = 0
     while step < n_steps:
         nb = min(block, n_steps - step)
-        noise = np.empty((nb, n_chains, noise_dim))
         for i, r in enumerate(rngs):
-            noise[:, i, :] = r.standard_normal((nb, noise_dim))
+            noise[:nb, i, :] = r.standard_normal((nb, noise_dim))
         for j in range(nb):
             state = step_fn(state, target, params, _FixedNoise(noise[j]))
             step += 1
-            if step > burn_in and (step - burn_in) % thinning == 0:
-                kept_x.append(state.x.copy())
-                kept_y.append(state.y.copy())
+            if step in kept_steps:
+                xs[n_filled], ys[n_filled] = state.x, state.y
+                n_filled += 1
             if step in checkpoint_set and on_checkpoint is not None:
                 on_checkpoint(step, state.x, state.y)
-    if not kept_x:
-        kept_x.append(state.x.copy())
-        kept_y.append(state.y.copy())
+    if n_kept == 0:
+        xs[0], ys[0] = state.x, state.y
     return SampleStore(
-        xs=np.stack(kept_x),
-        ys=np.stack(kept_y),
+        xs=xs,
+        ys=ys,
         params=params,
         kind=kind,
         n_chains=n_chains,

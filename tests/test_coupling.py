@@ -79,6 +79,23 @@ class TestRunCoupledPair:
         ) * float(v0 @ v0)
         assert trace.delta[0] == pytest.approx(want, rel=1e-12)
 
+    def test_general_noise_shares_a_joint_draw(self):
+        # B_X = (sqrt(2) I, 0), B_Y = 0 is the outer variant driven by a
+        # (d + m)-dimensional draw; shared noise cancels in the differences
+        # of this affine chain, so the traces agree to rounding
+        target = gauss1d_target(BENCH)
+        B_X = np.array([[np.sqrt(2.0), 0.0]])
+        B_Y = np.zeros((1, 2))
+        kw = dict(tau=0.1, lam=1.0, theta=0.95, seed=5)
+        a = (np.array([1.0]), np.array([0.5]))
+        b = (np.array([-0.5]), np.array([0.2]))
+        outer = run_coupled_pair(target, SamplerParams(**kw), a, b, n_steps=40)
+        general = run_coupled_pair(
+            target, SamplerParams(**kw, noise_variant="general", B_X=B_X, B_Y=B_Y), a, b,
+            n_steps=40,
+        )
+        np.testing.assert_allclose(general.delta, outer.delta, rtol=1e-12)
+
 
 class TestFitContractionRate:
     def _synthetic(self, deltas):

@@ -155,3 +155,127 @@ class TestPowerIteration:
     def test_bad_iters(self):
         with pytest.raises(ValueError):
             power_iteration_norm(grad2d(2, 2), iters=0)
+
+
+# --- reference formulas: the zeros + np.stack forms the operators replaced ---
+
+def _ref_grad_apply(x, w, h):
+    img = x.reshape(x.shape[:-1] + (h, w))
+    gh = np.zeros_like(img)
+    gv = np.zeros_like(img)
+    gh[..., :, :-1] = img[..., :, 1:] - img[..., :, :-1]
+    gv[..., :-1, :] = img[..., 1:, :] - img[..., :-1, :]
+    return np.stack([gh, gv], axis=-1).reshape(x.shape[:-1] + (2 * w * h,))
+
+
+def _ref_grad_adjoint(y, w, h):
+    g = y.reshape(y.shape[:-1] + (h, w, 2))
+    gh, gv = g[..., 0], g[..., 1]
+    out = np.zeros(y.shape[:-1] + (h, w))
+    out[..., :, 1:] += gh[..., :, :-1]
+    out[..., :, :-1] -= gh[..., :, :-1]
+    out[..., 1:, :] += gv[..., :-1, :]
+    out[..., :-1, :] -= gv[..., :-1, :]
+    return out.reshape(y.shape[:-1] + (w * h,))
+
+
+def _ref_bh(a):
+    out = np.zeros_like(a)
+    out[..., :, 1:] = a[..., :, 1:] - a[..., :, :-1]
+    return out
+
+
+def _ref_bv(a):
+    out = np.zeros_like(a)
+    out[..., 1:, :] = a[..., 1:, :] - a[..., :-1, :]
+    return out
+
+
+def _ref_bh_t(a):
+    out = np.zeros_like(a)
+    out[..., :, :-1] -= a[..., :, 1:]
+    out[..., :, 1:] += a[..., :, 1:]
+    return out
+
+
+def _ref_bv_t(a):
+    out = np.zeros_like(a)
+    out[..., :-1, :] -= a[..., 1:, :]
+    out[..., 1:, :] += a[..., 1:, :]
+    return out
+
+
+def _ref_sym_apply(v, w, h):
+    f = v.reshape(v.shape[:-1] + (h, w, 2))
+    vh, vv = f[..., 0], f[..., 1]
+    w12 = 0.5 * (_ref_bv(vh) + _ref_bh(vv))
+    out = np.stack([_ref_bh(vh), _ref_bv(vv), np.sqrt(2.0) * w12], axis=-1)
+    return out.reshape(v.shape[:-1] + (3 * w * h,))
+
+
+def _ref_sym_adjoint(q, w, h):
+    root2 = np.sqrt(2.0)
+    g = q.reshape(q.shape[:-1] + (h, w, 3))
+    w11, w22, w12s = g[..., 0], g[..., 1], g[..., 2]
+    vh = _ref_bh_t(w11) + 0.5 * root2 * _ref_bv_t(w12s)
+    vv = _ref_bv_t(w22) + 0.5 * root2 * _ref_bh_t(w12s)
+    return np.stack([vh, vv], axis=-1).reshape(q.shape[:-1] + (2 * w * h,))
+
+
+def _ref_tgv_apply(x, w, h):
+    d = w * h
+    u, v = x[..., :d], x[..., d:]
+    return np.concatenate([_ref_grad_apply(u, w, h) - v, _ref_sym_apply(v, w, h)], axis=-1)
+
+
+def _ref_tgv_adjoint(y, w, h):
+    d = w * h
+    p, q = y[..., : 2 * d], y[..., 2 * d :]
+    return np.concatenate([_ref_grad_adjoint(p, w, h), -p + _ref_sym_adjoint(q, w, h)], axis=-1)
+
+
+def _assert_same_bits(got, expect):
+    assert got.shape == expect.shape
+    np.testing.assert_array_equal(got, expect)
+    # array_equal treats -0.0 == 0.0; the sign of zero must match as well
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expect))
+
+
+def _inputs(rng, batch, n):
+    """A dense draw, one with zeros of both signs, and a non-contiguous slice."""
+    dense = rng.standard_normal(batch + (n,))
+    zeros = dense.copy()
+    zeros[..., ::3] = 0.0
+    zeros[..., 1::4] = -0.0
+    wide = rng.standard_normal(batch + (n + 7,))
+    return dense, zeros, wide[..., 3 : 3 + n]
+
+
+class TestMatchesReferenceFormulas:
+    @pytest.mark.parametrize("w,h", [(1, 1), (1, 4), (5, 1), (7, 5)])
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+    def test_bit_identical(self, w, h, batch):
+        rng = np.random.default_rng(w * 10 + h)
+        cases = [
+            (grad2d(w, h), _ref_grad_apply, _ref_grad_adjoint),
+            (sym_grad2d(w, h), _ref_sym_apply, _ref_sym_adjoint),
+            (tgv_block(w, h, sym_grad2d(w, h)), _ref_tgv_apply, _ref_tgv_adjoint),
+        ]
+        for op, ref_apply, ref_adjoint in cases:
+            for x in _inputs(rng, batch, op.dim_in):
+                _assert_same_bits(op.apply(x), ref_apply(x, w, h))
+            for y in _inputs(rng, batch, op.dim_out):
+                _assert_same_bits(op.adjoint(y), ref_adjoint(y, w, h))
+
+    def test_tgv_sliced_blocks_as_the_tgv_target_passes_them(self):
+        # the TGV dual arrives as views into one (chains, 5d) array
+        w, h = 6, 4
+        d = w * h
+        rng = np.random.default_rng(8)
+        E = sym_grad2d(w, h)
+        Y = rng.standard_normal((4, 5 * d))
+        p, q = Y[:, : 2 * d], Y[:, 2 * d :]
+        _assert_same_bits(grad2d(w, h).adjoint(p), _ref_grad_adjoint(p, w, h))
+        _assert_same_bits(E.adjoint(q), _ref_sym_adjoint(q, w, h))
+        X = rng.standard_normal((4, 3 * d))
+        _assert_same_bits(E.apply(X[:, d:]), _ref_sym_apply(X[:, d:], w, h))

@@ -106,8 +106,63 @@ class TestProjections:
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             project_interval(np.zeros(2), 0.0)
-        with pytest.raises(ValueError):
-            project_l2_ball_groups(np.zeros(2), -1.0)
+        for alpha in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                project_l2_ball_groups(np.zeros(2), alpha)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("group_size", [2, 3])
+    def test_group_ball_rejects_non_finite(self, bad, group_size):
+        v = np.ones((3, 4 * group_size))
+        v[1, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            project_l2_ball_groups(v, 1.0, group_size)
+
+    def test_group_ball_overflowing_square_is_not_non_finite(self):
+        # 1e200**2 overflows, yet the input is finite: the group norm is
+        # inf, so the group shrinks to 0, as np.linalg.norm would have it
+        with np.errstate(over="ignore"):
+            out = project_l2_ball_groups(np.array([1e200, 1e200, 0.3, 0.4]), 1.0)
+        np.testing.assert_array_equal(out, [0.0, 0.0, 0.3, 0.4])
+
+
+def _ref_project_l2_ball_groups(v, alpha, group_size):
+    """The np.linalg.norm form the projection replaced."""
+    g = v.reshape(v.shape[:-1] + (-1, group_size))
+    norms = np.linalg.norm(g, axis=-1, keepdims=True)
+    scale = np.ones_like(norms)
+    np.divide(alpha, norms, out=scale, where=norms > alpha)
+    return (g * scale).reshape(v.shape)
+
+
+class TestGroupBallMatchesReference:
+    @pytest.mark.parametrize("group_size", [2, 3])
+    @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("alpha", [0.3, 1.5, 40.0])
+    def test_bit_identical(self, group_size, batch, alpha):
+        rng = np.random.default_rng(group_size * 100 + len(batch))
+        n = 60 * group_size
+        v = 2.0 * rng.standard_normal(batch + (n,))
+        v[..., :group_size] = 0.0  # a zero group
+        v[..., group_size + 1 : 2 * group_size] = -0.0
+        v[..., group_size] = alpha  # a group with norm exactly alpha
+        # a non-contiguous slice, as the TGV dual projection receives it
+        wide = 2.0 * rng.standard_normal(batch + (n + 3 * group_size,))
+        sliced = wide[..., 2 * group_size : 2 * group_size + n]
+        for x in (v, sliced):
+            got = project_l2_ball_groups(x, alpha, group_size)
+            expect = _ref_project_l2_ball_groups(x, alpha, group_size)
+            np.testing.assert_array_equal(got, expect)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(expect))
+        on_sphere = slice(group_size, 2 * group_size)
+        out = project_l2_ball_groups(v, alpha, group_size)
+        np.testing.assert_array_equal(out[..., on_sphere], v[..., on_sphere])
+
+    def test_does_not_write_into_input(self):
+        v = 5.0 * np.random.default_rng(1).standard_normal((3, 8))
+        before = v.copy()
+        project_l2_ball_groups(v, 1.0)
+        np.testing.assert_array_equal(v, before)
 
 
 class TestMoreau:

@@ -1,13 +1,19 @@
 """Chain update rules, parameter validation, and ensemble execution."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pdlangevin.analytic import GaussModel1D, stationary_cov_pd, target_variance
-from pdlangevin.models import gauss1d_target, tv2pixel_target
+from pdlangevin.linop import LinearMap
+from pdlangevin.models import gauss1d_target, tv2pixel_target, tv_image_target
+from pdlangevin.prox import ProxOperator
 from pdlangevin.samplers import (
     ChainState,
     SamplerParams,
+    TargetSpec,
     _FixedNoise,
     modified_sde_step,
     prox_sub_step,
@@ -142,6 +148,109 @@ class TestUlpdaStep:
         p = SamplerParams(tau=1e-2, lam=1.0)
         with pytest.raises(ValueError):
             ulpda_step(ChainState.initial(np.zeros(2), np.zeros(1)), target, p, _zero_noise((2,)))
+
+
+def _ref_ulpda_step(state, target, params, rng):
+    """The out-of-place formulas ulpda_step replaced."""
+    tau, sigma, theta = params.tau, params.sigma, params.theta
+    K = target.K
+    x_theta = state.x + theta * (state.x - state.x_prev)
+    y_new = target.fstar_prox.eval(state.y + sigma * K.apply(x_theta), sigma)
+    drift_arg = state.x - tau * K.adjoint(y_new)
+    if params.noise_variant == "outer":
+        xi = rng.standard_normal(state.x.shape)
+        x_new = target.g_prox.eval(drift_arg, tau) + math.sqrt(2.0 * tau) * xi
+    elif params.noise_variant == "inner":
+        xi = rng.standard_normal(state.x.shape)
+        x_new = target.g_prox.eval(drift_arg + math.sqrt(2.0 * tau) * xi, tau)
+    else:
+        d, m = target.dim_primal, target.dim_dual
+        xi = rng.standard_normal(state.x.shape[:-1] + (d + m,))
+        root_tau = math.sqrt(tau)
+        x_new = target.g_prox.eval(drift_arg, tau) + root_tau * (xi @ np.asarray(params.B_X).T)
+        y_new = y_new + root_tau * (xi @ np.asarray(params.B_Y).T)
+    return ChainState(x=x_new, y=y_new, x_prev=state.x, n=state.n + 1)
+
+
+class _Spy:
+    """Identity map that remembers every array it is given, with a snapshot,
+    so that a later write into one of them shows."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, a, *_):
+        self.seen.append((a, a.copy()))
+        return a
+
+    def assert_untouched(self):
+        for a, snapshot in self.seen:
+            np.testing.assert_array_equal(a, snapshot)
+
+
+def _spy_target(d, spy):
+    """K = I and identity proxes that hand back their input: any array K or
+    a prox sees or returns is one the caller may still hold."""
+    K = LinearMap(apply=spy, adjoint=spy, dim_in=d, dim_out=d)
+    identity = ProxOperator(eval=spy, label="identity")
+    return TargetSpec(g_prox=identity, fstar_prox=identity, K=K)
+
+
+def _variant_params(target, variant):
+    if variant != "general":
+        return SamplerParams(tau=1e-2, lam=1.0, theta=0.7, noise_variant=variant)
+    d, m = target.dim_primal, target.dim_dual
+    rng = np.random.default_rng(0)
+    return SamplerParams(
+        tau=1e-2, lam=1.0, theta=0.7, noise_variant="general",
+        B_X=rng.standard_normal((d, d + m)), B_Y=0.1 * rng.standard_normal((m, d + m)),
+    )
+
+
+def _image_target():
+    noisy = np.random.default_rng(3).uniform(0.0, 1.0, 5 * 4)
+    return tv_image_target(noisy, 0.1, 0.5, 5, 4)
+
+
+def _random_state_and_noise(target, variant):
+    d, m = target.dim_primal, target.dim_dual
+    rng = np.random.default_rng(11)
+    state = ChainState(
+        x=rng.standard_normal((3, d)), y=rng.standard_normal((3, m)),
+        x_prev=rng.standard_normal((3, d)), n=4,
+    )
+    xi = rng.standard_normal((3, d + m if variant == "general" else d))
+    return state, xi
+
+
+VARIANTS = ["outer", "inner", "general"]
+
+
+class TestUlpdaInPlace:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_reference_formulas(self, variant):
+        target = _image_target()
+        p = _variant_params(target, variant)
+        state, xi = _random_state_and_noise(target, variant)
+        out = ulpda_step(state, target, p, _FixedNoise(xi))
+        expect = _ref_ulpda_step(state, target, p, _FixedNoise(xi.copy()))
+        np.testing.assert_array_equal(out.x, expect.x)
+        np.testing.assert_array_equal(out.y, expect.y)
+        assert out.x_prev is state.x
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_never_writes_into_shared_arrays(self, variant):
+        spy = _Spy()
+        target = _spy_target(6, spy)
+        p = _variant_params(target, variant)
+        state, xi = _random_state_and_noise(target, variant)
+        held = [(a, a.copy()) for a in (state.x, state.y, state.x_prev, xi)]
+        out = ulpda_step(state, target, p, _FixedNoise(xi))
+        held += [(a, a.copy()) for a in (out.x, out.y)]
+        ulpda_step(out, target, p, _FixedNoise(xi))
+        for a, snapshot in held:
+            np.testing.assert_array_equal(a, snapshot)
+        spy.assert_untouched()
 
 
 class TestUlaStep:
@@ -289,6 +398,69 @@ class TestRunEnsemble:
         target = gauss1d_target(BENCH)
         with pytest.raises(ValueError):
             run_ensemble(target, SamplerParams(tau=1.0, lam=1.0), n_chains=1, n_steps=10)
+
+    def test_leaves_init_and_checkpoint_arrays_alone(self):
+        target = _image_target()
+        p = SamplerParams(tau=1e-2, lam=1.0, seed=4)
+        rng = np.random.default_rng(5)
+        X0 = rng.standard_normal((3, target.dim_primal))
+        Y0 = rng.standard_normal((3, target.dim_dual))
+        before = X0.copy(), Y0.copy()
+        seen = []
+
+        def on_checkpoint(step, X, Y):
+            seen.append((X, Y, X.copy(), Y.copy()))
+
+        store = run_ensemble(target, p, n_chains=3, n_steps=12, init=(X0, Y0),
+                             checkpoints=[1, 5, 11, 12], on_checkpoint=on_checkpoint,
+                             noise_block=4)
+        np.testing.assert_array_equal(X0, before[0])
+        np.testing.assert_array_equal(Y0, before[1])
+        assert len(seen) == 4
+        for X, Y, X_then, Y_then in seen:
+            np.testing.assert_array_equal(X, X_then)
+            np.testing.assert_array_equal(Y, Y_then)
+        np.testing.assert_array_equal(seen[-1][0], store.final_x)
+
+    def test_kept_sample_counts_and_values(self):
+        target = gauss1d_target(BENCH)
+        p = SamplerParams(tau=1e-2, lam=1.0, seed=6)
+        full = run_ensemble(target, p, n_chains=2, n_steps=23)
+        for burn_in, thinning in [(0, 1), (0, 4), (5, 3), (22, 5), (23, 1), (40, 2)]:
+            store = run_ensemble(target, p, n_chains=2, n_steps=23,
+                                 burn_in=burn_in, thinning=thinning)
+            steps = [s for s in range(1, 24) if s > burn_in and (s - burn_in) % thinning == 0]
+            steps = ([0] if burn_in == 0 else []) + steps or [23]
+            np.testing.assert_array_equal(store.xs, full.xs[steps])
+            np.testing.assert_array_equal(store.ys, full.ys[steps])
+
+    def test_peak_memory_bounded_by_kept_samples_and_noise_cap(self):
+        # Deterministic memory guard, no timing: at 128x128 with 24 chains
+        # the traced peak must stay within the kept samples, one 32 MB
+        # noise block and a few ensemble-sized step temporaries. Drawing
+        # the whole run's noise at once (40 steps: 126 MB) or collecting
+        # the kept samples in a list before stacking them (another 57 MB)
+        # breaks the bound.
+        w = h = 128
+        n_chains, n_steps, thinning = 24, 40, 8
+        noisy = np.random.default_rng(0).uniform(0.0, 1.0, w * h)
+        target = tv_image_target(noisy, 0.1, 3.0, w, h)
+        p = SamplerParams(tau=0.003, lam=10.0, seed=1)
+        target.K.norm()
+        tracemalloc.start()
+        try:
+            store = run_ensemble(
+                target, p, n_chains=n_chains, n_steps=n_steps, thinning=thinning,
+                init=("point", noisy, np.zeros(target.dim_dual)),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept_bytes = store.xs.nbytes + store.ys.nbytes
+        assert store.xs.shape == (1 + n_steps // thinning, n_chains, w * h)
+        state_bytes = n_chains * (target.dim_primal + target.dim_dual) * 8
+        noise_cap_bytes = (1 << 22) * 8
+        assert peak <= kept_bytes + noise_cap_bytes + 6 * state_bytes
 
     def test_gaussian_init(self):
         target = gauss1d_target(BENCH)
