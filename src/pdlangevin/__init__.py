@@ -19,10 +19,9 @@ from .analytic import (
 from .coupling import (
     CouplingTrace,
     SweepResult,
-    bias_sweep_tau,
     fit_contraction_rate,
-    lambda_sweep,
     run_coupled_pair,
+    sweep,
 )
 from .linop import (
     LinearMap,
@@ -67,11 +66,8 @@ from .samplers import (
     SampleStore,
     TargetSpec,
     ValidationReport,
-    modified_sde_step,
-    prox_sub_step,
+    make_step,
     run_ensemble,
-    ula_step,
-    ulpda_step,
     validate_params,
 )
 

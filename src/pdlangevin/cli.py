@@ -22,22 +22,26 @@ import math
 import sys
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from .analytic import GaussModel1D, stationary_cov_pd, target_variance
-from .coupling import _stationary_flag, bias_sweep_tau, lambda_sweep
+from .coupling import _stationary_flag, sweep
 from .metrics import EmpiricalMeasure, moments, pixelwise_variance, psnr, w2_exact
 from .models import gauss1d_target, tgv_image_target, tv2pixel_target, tv_image_target
-from .samplers import SamplerParams, run_ensemble, validate_params
+from .samplers import (
+    SamplerParams,
+    TargetSpec,
+    ValidationReport,
+    make_step,
+    run_ensemble,
+    validate_params,
+)
 
 
 class ConfigError(Exception):
     """Malformed or inconsistent configuration."""
-
-
-class RegimeError(Exception):
-    """Step sizes violate every supported regime."""
 
 
 # --- image grid and PGM IO ---
@@ -265,24 +269,74 @@ def gauss1d_stepsizes(lam: float, k: float, c: float) -> tuple[float, float]:
 
 # --- scenario execution ---
 
-def _sampler_kind_and_params(cfg: ScenarioConfig, tau: float, target) -> tuple[str, SamplerParams]:
-    extra = {}
-    if cfg.sampler == "ulpda_general":
+@dataclass
+class _Problem:
+    """One scenario's target with its resolved sampler and step sizes."""
+
+    target: TargetSpec
+    kind: str
+    params: SamplerParams
+    report: ValidationReport
+    notes: list[str]  # changes made to the configured values
+    model: Optional[GaussModel1D] = None  # gauss1d
+    clean: Optional[ImageGrid] = None  # image scenarios
+    noisy: Optional[ImageGrid] = None
+    input_bytes: bytes = b""
+
+
+def _build_problem(cfg: ScenarioConfig) -> _Problem:
+    """Build the target, step size and sampler parameters of a single-run
+    scenario; ``run`` and ``validate`` both start here, so they agree."""
+    extra, notes = {}, []
+    if cfg.scenario == "gauss1d":
+        model = GaussModel1D(cfg.c_f, cfg.c_g, cfg.k, lam=cfg.lam)
+        target = gauss1d_target(model)
+        tau = cfg.tau if cfg.tau > 0 else gauss1d_stepsizes(cfg.lam, cfg.k, cfg.c)[0]
+        extra["model"] = model
+    elif cfg.scenario == "tv2pixel":
+        target = tv2pixel_target(np.array([cfg.x_obs1, cfg.x_obs2]), cfg.sigma_eps, cfg.alpha)
+        tau = cfg.tau if cfg.tau > 0 else 1e-2
+    else:  # tv_image, tgv_image
+        if cfg.input_image:
+            clean = load_image_pgm(cfg.input_image)
+            extra["input_bytes"] = Path(cfg.input_image).read_bytes()
+        else:
+            clean = synthetic_phantom(cfg.width, cfg.height)
+        noisy = add_gaussian_noise(clean, cfg.sigma_eps, seed=cfg.seed + 10_000)
+        extra.update(clean=clean, noisy=noisy)
+        if cfg.scenario == "tv_image":
+            target = tv_image_target(
+                noisy.intensities, cfg.sigma_eps, cfg.alpha, noisy.width, noisy.height
+            )
+        else:
+            target = tgv_image_target(
+                noisy.intensities, cfg.sigma_eps, cfg.alpha1, cfg.alpha0, noisy.width, noisy.height
+            )
+        tau = cfg.tau if cfg.tau > 0 else 0.02
+        L = target.K.norm()
+        # keep theta * tau * sigma * L^2 <= 1
+        if cfg.theta * tau * cfg.lam * tau * L * L > 1.0:
+            clamped = math.sqrt(1.0 / (cfg.theta * cfg.lam)) / L
+            notes.append(
+                f"tau lowered from {tau:.6g} to {clamped:.6g} so that theta*tau*sigma*L^2 <= 1"
+            )
+            tau = clamped
+    ulpda = cfg.sampler.startswith("ulpda_")
+    kind = "ulpda" if ulpda else cfg.sampler
+    variant = cfg.sampler.removeprefix("ulpda_") if ulpda else "outer"
+    blocks = {}
+    if variant == "general":  # (sqrt(2) I, 0) and 0: the outer variant on a joint draw
         d, m = target.dim_primal, target.dim_dual
-        extra["B_X"] = np.hstack([math.sqrt(2.0) * np.eye(d), np.zeros((d, m))])
-        extra["B_Y"] = np.zeros((m, d + m))
-    variant = {"ulpda_outer": "outer", "ulpda_inner": "inner", "ulpda_general": "general"}
-    if cfg.sampler in variant:
-        kind = "ulpda"
-        noise_variant = variant[cfg.sampler]
-    else:
-        kind = cfg.sampler
-        noise_variant = "outer"
-    params = SamplerParams(
-        tau=tau, lam=cfg.lam, theta=cfg.theta, noise_variant=noise_variant,
-        seed=cfg.seed, **extra,
-    )
-    return kind, params
+        blocks = dict(B_X=np.hstack([math.sqrt(2.0) * np.eye(d), np.zeros((d, m))]),
+                      B_Y=np.zeros((m, d + m)))
+    params = SamplerParams(tau=tau, lam=cfg.lam, theta=cfg.theta, noise_variant=variant,
+                           seed=cfg.seed, **blocks)
+    report = validate_params(target, params)
+    try:
+        make_step(kind, target, params)  # fails when the target lacks an oracle
+    except ValueError as e:
+        raise ConfigError(f"sampler {cfg.sampler!r} does not fit scenario {cfg.scenario!r}: {e}") from e
+    return _Problem(target, kind, params, report, notes, **extra)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -317,14 +371,11 @@ def _write_manifest(outdir: Path, cfg: ScenarioConfig, report, extra: dict, inpu
 
 
 def _run_gauss1d(cfg: ScenarioConfig, outdir: Path) -> dict:
-    model = GaussModel1D(cfg.c_f, cfg.c_g, cfg.k, lam=cfg.lam)
-    target = gauss1d_target(model)
-    tau = cfg.tau if cfg.tau > 0 else gauss1d_stepsizes(cfg.lam, cfg.k, cfg.c)[0]
-    kind, params = _sampler_kind_and_params(cfg, tau, target)
-    report = validate_params(target, params)
+    prob = _build_problem(cfg)
+    model, params = prob.model, prob.params
     store = run_ensemble(
-        target, params, n_chains=cfg.n_chains, n_steps=cfg.n_steps,
-        burn_in=cfg.burn_in, thinning=cfg.thinning, kind=kind,
+        prob.target, params, n_chains=cfg.n_chains, n_steps=cfg.n_steps,
+        burn_in=cfg.burn_in, thinning=cfg.thinning, kind=prob.kind,
     )
     xm, xc = moments(EmpiricalMeasure(store.x_samples))
     ym, yc = moments(EmpiricalMeasure(store.y_samples))
@@ -340,22 +391,19 @@ def _run_gauss1d(cfg: ScenarioConfig, outdir: Path) -> dict:
         [[edges[i], edges[i + 1], int(counts[i])] for i in range(counts.size)],
     )
     extra = {
-        "tau": tau,
+        "tau": params.tau,
         "sigma": params.sigma,
         "target_variance": target_variance(model),
         "stationary_variance": stationary_cov_pd(model)[0, 0],
         "empirical_variance": float(xc[0, 0]),
     }
-    _write_manifest(outdir, cfg, report, extra)
+    _write_manifest(outdir, cfg, prob.report, extra)
     return extra
 
 
 def _run_tv2pixel(cfg: ScenarioConfig, outdir: Path) -> dict:
-    x_obs = np.array([cfg.x_obs1, cfg.x_obs2])
-    target = tv2pixel_target(x_obs, cfg.sigma_eps, cfg.alpha)
-    tau = cfg.tau if cfg.tau > 0 else 1e-2
-    kind, params = _sampler_kind_and_params(cfg, tau, target)
-    report = validate_params(target, params)
+    prob = _build_problem(cfg)
+    target, params, tau = prob.target, prob.params, prob.params.tau
 
     # lam = infinity proxy at a much finer step as the reference cloud
     ref_params = SamplerParams(tau=tau / cfg.ref_tau_factor, lam=cfg.lam, seed=cfg.seed + 1)
@@ -378,7 +426,7 @@ def _run_tv2pixel(cfg: ScenarioConfig, outdir: Path) -> dict:
 
     store = run_ensemble(
         target, params, n_chains=cfg.n_chains, n_steps=cfg.n_steps,
-        burn_in=cfg.burn_in, thinning=cfg.thinning, kind=kind,
+        burn_in=cfg.burn_in, thinning=cfg.thinning, kind=prob.kind,
         checkpoints=checkpoints.tolist(), on_checkpoint=on_checkpoint,
     )
     stationary = _stationary_flag(store.xs)
@@ -395,38 +443,15 @@ def _run_tv2pixel(cfg: ScenarioConfig, outdir: Path) -> dict:
         "final_w2": curve[-1][1] if curve else None,
         "stationary": bool(stationary),
     }
-    _write_manifest(outdir, cfg, report, extra)
+    _write_manifest(outdir, cfg, prob.report, extra)
     return extra
 
 
 def _run_image(cfg: ScenarioConfig, outdir: Path) -> dict:
-    if cfg.input_image:
-        clean = load_image_pgm(cfg.input_image)
-        width, height = clean.width, clean.height
-        input_bytes = Path(cfg.input_image).read_bytes()
-    else:
-        width, height = cfg.width, cfg.height
-        clean = synthetic_phantom(width, height)
-        input_bytes = b""
-    noisy = add_gaussian_noise(clean, cfg.sigma_eps, seed=cfg.seed + 10_000)
+    prob = _build_problem(cfg)
+    target, params, clean, noisy = prob.target, prob.params, prob.clean, prob.noisy
+    width, height = noisy.width, noisy.height
     d = width * height
-
-    if cfg.scenario == "tv_image":
-        target = tv_image_target(noisy.intensities, cfg.sigma_eps, cfg.alpha, width, height)
-    else:
-        target = tgv_image_target(
-            noisy.intensities, cfg.sigma_eps, cfg.alpha1, cfg.alpha0, width, height
-        )
-    tau = cfg.tau if cfg.tau > 0 else 0.02
-    L = target.K.norm()
-    # keep theta * tau * sigma * L^2 <= 1
-    if cfg.theta * tau * cfg.lam * tau * L * L > 1.0:
-        tau = math.sqrt(1.0 / (cfg.theta * cfg.lam)) / L
-    kind, params = _sampler_kind_and_params(cfg, tau, target)
-    report = validate_params(target, params)
-
-    if cfg.scenario == "tgv_image" and kind == "ula":
-        raise ConfigError("ula is not available for the non-smooth TGV model")
     init = None
     if cfg.scenario == "tgv_image":
         x0 = np.zeros(target.dim_primal)
@@ -437,7 +462,7 @@ def _run_image(cfg: ScenarioConfig, outdir: Path) -> dict:
 
     store = run_ensemble(
         target, params, n_chains=cfg.n_chains, n_steps=cfg.n_steps,
-        burn_in=cfg.burn_in, thinning=cfg.thinning, kind=kind, init=init,
+        burn_in=cfg.burn_in, thinning=cfg.thinning, kind=prob.kind, init=init,
     )
     x_cloud = store.x_samples[:, :d]
     mmse = x_cloud.mean(axis=0)
@@ -473,35 +498,49 @@ def _run_image(cfg: ScenarioConfig, outdir: Path) -> dict:
         "mean_pixel_variance": float(var.mean()),
         "mean_dual_variance": float(dual_var.mean()),
     }
-    _write_manifest(outdir, cfg, report, extra, input_bytes=input_bytes)
+    _write_manifest(outdir, cfg, prob.report, extra, input_bytes=prob.input_bytes)
     return extra
 
 
-def _run_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
-    model = GaussModel1D(cfg.c_f, cfg.c_g, cfg.k, lam=cfg.lam)
-    target = gauss1d_target(model)
+def _sweep_values(cfg: ScenarioConfig) -> list[float]:
+    """The sweep grid, in the order the sweep needs: step ratios strictly
+    increasing, step sizes strictly decreasing."""
     try:
         values = [float(s) for s in cfg.sweep_values.split(",") if s.strip()]
     except ValueError as e:
         raise ConfigError(f"bad sweep_values {cfg.sweep_values!r}") from e
     if not values:
         raise ConfigError("sweep_values is empty")
-    common = dict(
-        n_chains=cfg.n_chains, n_steps=cfg.n_steps, burn_in=cfg.burn_in,
-        theta=cfg.theta, seed=cfg.seed, thinning=cfg.thinning,
-    )
+    pairs = list(zip(values, values[1:]))
     if cfg.sweep_kind == "lambda":
-        reference = (0.0, target_variance(model))
-        result = lambda_sweep(
-            target, values, lambda lam: gauss1d_stepsizes(lam, cfg.k, cfg.c)[0],
-            reference, **common,
-        )
+        if any(b <= a for a, b in pairs):
+            raise ConfigError("lambda sweep_values must be strictly increasing")
     elif cfg.sweep_kind == "tau":
-        ref_model = GaussModel1D(cfg.c_f, cfg.c_g, cfg.k, lam=cfg.lam)
-        reference = (0.0, stationary_cov_pd(ref_model)[0, 0])
-        result = bias_sweep_tau(target, cfg.lam, values, reference, **common)
+        if any(b >= a for a, b in pairs):
+            raise ConfigError("tau sweep_values must be strictly decreasing")
     else:
         raise ConfigError(f"unknown sweep_kind {cfg.sweep_kind!r}")
+    return values
+
+
+def _run_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
+    values = _sweep_values(cfg)
+    model = GaussModel1D(cfg.c_f, cfg.c_g, cfg.k, lam=cfg.lam)
+    fixed = dict(theta=cfg.theta, seed=cfg.seed)
+    if cfg.sweep_kind == "lambda":
+        reference = (0.0, target_variance(model))
+
+        def params_for(lam):
+            return SamplerParams(tau=gauss1d_stepsizes(lam, cfg.k, cfg.c)[0], lam=lam, **fixed)
+    else:
+        reference = (0.0, stationary_cov_pd(model)[0, 0])
+
+        def params_for(tau):
+            return SamplerParams(tau=tau, lam=cfg.lam, **fixed)
+    result = sweep(
+        gauss1d_target(model), values, params_for, reference, n_chains=cfg.n_chains,
+        n_steps=cfg.n_steps, burn_in=cfg.burn_in, thinning=cfg.thinning,
+    )
     slope = result.loglog_slope()
     _write_csv(
         outdir / "sweep.csv",
@@ -560,37 +599,19 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = parse_config(*_config_and_overrides(args))
     if cfg.scenario == "sweep":
+        _sweep_values(cfg)
         print("sweep configs are validated per point at run time")
         return 0
-    model = GaussModel1D(cfg.c_f, cfg.c_g, cfg.k, lam=cfg.lam)
-    if cfg.scenario == "gauss1d":
-        target = gauss1d_target(model)
-        tau = cfg.tau if cfg.tau > 0 else gauss1d_stepsizes(cfg.lam, cfg.k, cfg.c)[0]
-    elif cfg.scenario == "tv2pixel":
-        target = tv2pixel_target(np.array([cfg.x_obs1, cfg.x_obs2]), cfg.sigma_eps, cfg.alpha)
-        tau = cfg.tau if cfg.tau > 0 else 1e-2
-    else:
-        if cfg.scenario == "tv_image":
-            target = tv_image_target(
-                np.zeros(cfg.width * cfg.height), cfg.sigma_eps, cfg.alpha, cfg.width, cfg.height
-            )
-        else:
-            target = tgv_image_target(
-                np.zeros(cfg.width * cfg.height), cfg.sigma_eps, cfg.alpha1, cfg.alpha0,
-                cfg.width, cfg.height,
-            )
-        tau = cfg.tau if cfg.tau > 0 else 0.02
-    kind, params = _sampler_kind_and_params(cfg, tau, target)
-    report = validate_params(target, params)
+    prob = _build_problem(cfg)
+    report = prob.report
+    print(f"tau = {prob.params.tau:.6g}")
     print(f"L = {report.L:.6g}")
     print(f"tau sigma L^2 = {report.tau_sigma_L2:.6g}")
     print(f"stability_regime = {report.stability_regime}")
     print(f"contraction_regime = {report.contraction_regime} (theta >= {report.theta_min_contraction:.6g})")
     print(f"bias_regime = {report.bias_regime} (theta >= {report.theta_min_bias:.6g})")
-    for note in report.notes:
+    for note in prob.notes + report.notes:
         print(f"note: {note}")
-    if not report.any_regime:
-        raise RegimeError("parameters satisfy no supported regime")
     return 0
 
 
@@ -635,9 +656,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except RegimeError as e:
-        print(f"regime violation: {e}", file=sys.stderr)
-        return 3
     except ValueError as e:
         # parameter / regime problems surfaced by validation
         print(f"regime violation: {e}", file=sys.stderr)

@@ -1,16 +1,18 @@
 """Coupled-chain harnesses for contraction and bias measurements.
 
-Runs pairs of chains driven by identical noise and records the weighted
+Runs pairs of chains driven by identical noise (a two-chain run of the
+samplers' driver, both rows fed one stream) and records the weighted
 distance quantities whose per-step decay certifies discrete-time
-contraction; also provides step-size and step-ratio sweeps that measure
-the stationary Wasserstein gap against a reference.
+contraction; also provides one sweep over a grid of sampler parameters
+(step sizes, step ratios) that measures the stationary Wasserstein gap
+against a reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -20,9 +22,9 @@ from .samplers import (
     ChainState,
     SamplerParams,
     TargetSpec,
-    _FixedNoise,
-    _STEP_FNS,
-    _noise_dim,
+    _drive,
+    _initial_state,
+    make_step,
     run_ensemble,
     validate_params,
 )
@@ -61,63 +63,39 @@ def run_coupled_pair(
     kind: str = "ulpda",
 ) -> CouplingTrace:
     """Advance two chains with shared noise draws and record their
-    weighted distances at every step (index 0 is the initialization)."""
+    weighted distances at every step (index 0 is the initialization).
+
+    Both chains take every draw of the one stream
+    ``Philox(SeedSequence(params.seed))``.
+    """
     report = validate_params(target, params)
     if not report.any_regime:
         raise ValueError(
             "step sizes satisfy no supported regime: " + "; ".join(report.notes)
         )
-    step_fn = _STEP_FNS[kind]
-    tau, sigma, theta = params.tau, params.sigma, params.theta
+    step = make_step(kind, target, params)
+    tau, sigma = params.tau, params.sigma
     omega_g = target.g_prox.modulus
     omega_fs = target.fstar_prox.modulus
-    L = report.L
     tsl = report.tau_sigma_L2
-
-    a = ChainState.initial(*init_a)
-    b = ChainState.initial(*init_b)
-    noise_dim = _noise_dim(target, params, kind)
+    X, Y = (np.stack(pair) for pair in zip(init_a, init_b))
     rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(params.seed)))
+    rows = []
 
-    rec = {k: [] for k in ("primal_sq", "dual_sq", "incr_sq", "cross", "delta", "plain")}
-
-    def record(sa: ChainState, sb: ChainState) -> None:
-        u = sa.x - sb.x
-        u_prev = sa.x_prev - sb.x_prev
-        v = sa.y - sb.y
+    def record(_: int, s: ChainState) -> None:
+        u = s.x[0] - s.x[1]
+        u_prev = s.x_prev[0] - s.x_prev[1]
+        v = s.y[0] - s.y[1]
         du = u - u_prev
         p = (1.0 / tau + 2.0 * omega_g) * float(u @ u)
         q = (1.0 / sigma + 2.0 * omega_fs) * float(v @ v)
         inc = (1.0 / tau) * float(du @ du)
         cr = 2.0 * float(target.K.apply(du) @ v)
-        rec["primal_sq"].append(p)
-        rec["dual_sq"].append(q)
-        rec["incr_sq"].append(inc)
-        rec["cross"].append(cr)
-        rec["delta"].append(p + q + inc + cr)
-        rec["plain"].append(
-            (1.0 / tau) * float(u @ u) + (1.0 - tsl) * (1.0 / sigma) * float(v @ v)
-        )
+        plain = (1.0 / tau) * float(u @ u) + (1.0 - tsl) * (1.0 / sigma) * float(v @ v)
+        rows.append((p, q, inc, cr, p + q + inc + cr, plain))
 
-    record(a, b)
-    for _ in range(n_steps):
-        xi = rng.standard_normal(noise_dim)
-        noise_a = _FixedNoise(xi)
-        noise_b = _FixedNoise(xi.copy())
-        a = step_fn(a, target, params, noise_a)
-        b = step_fn(b, target, params, noise_b)
-        record(a, b)
-
-    return CouplingTrace(
-        primal_sq=np.array(rec["primal_sq"]),
-        dual_sq=np.array(rec["dual_sq"]),
-        incr_sq=np.array(rec["incr_sq"]),
-        cross=np.array(rec["cross"]),
-        delta=np.array(rec["delta"]),
-        plain=np.array(rec["plain"]),
-        params=params,
-        L=L,
-    )
+    _drive(step, _initial_state(target, 2, X, Y), [rng], n_steps, record)
+    return CouplingTrace(*np.array(rows).T, params=params, L=report.L)
 
 
 def fit_contraction_rate(trace: CouplingTrace, burn: int = 0) -> float:
@@ -201,71 +179,34 @@ def _w2_to_reference(store, reference, batch_cap: int = 2000) -> float:
     return float(np.mean(vals))
 
 
-def bias_sweep_tau(
+def sweep(
     target: TargetSpec,
-    lam: float,
-    taus: Sequence[float],
+    values: Iterable[float],
+    params_for: Callable[[float], SamplerParams],
     reference,
     *,
     n_chains: int = 1000,
     n_steps: int = 20000,
     burn_in: int = 10000,
-    theta: float = 1.0,
-    seed: int = 0,
     kind: str = "ulpda",
     thinning: int = 1,
 ) -> SweepResult:
-    """Stationary primal distance to ``reference`` for each step size.
+    """Stationary primal distance to ``reference`` at each grid value.
 
-    Step sizes must be given in decreasing order; every point runs a fresh
-    ensemble with the dual step ``lam * tau``. Non-stationary runs are
-    flagged, not rejected.
+    ``params_for(value)`` gives the sampler parameters of each point (say,
+    a step size or a step ratio, with the other settings fixed); every
+    point runs a fresh ensemble. Non-stationary runs are flagged, not
+    rejected.
     """
-    taus = list(taus)
-    if any(b >= a for a, b in zip(taus, taus[1:])):
-        raise ValueError("taus must be strictly decreasing")
+    values = list(values)
     w2s, flags = [], []
-    for tau in taus:
-        params = SamplerParams(tau=tau, lam=lam, theta=theta, seed=seed)
+    for value in values:
         store = run_ensemble(
-            target, params, n_chains=n_chains, n_steps=n_steps,
+            target, params_for(value), n_chains=n_chains, n_steps=n_steps,
             burn_in=burn_in, thinning=thinning, kind=kind,
         )
         w2s.append(_w2_to_reference(store, reference))
         flags.append(_stationary_flag(store.xs))
     return SweepResult(
-        values=np.array(taus), w2=np.array(w2s), stationary=np.array(flags)
-    )
-
-
-def lambda_sweep(
-    target: TargetSpec,
-    lambdas: Sequence[float],
-    tau_rule: Callable[[float], float],
-    reference,
-    *,
-    n_chains: int = 1000,
-    n_steps: int = 20000,
-    burn_in: int = 10000,
-    theta: float = 1.0,
-    seed: int = 0,
-    kind: str = "ulpda",
-    thinning: int = 1,
-) -> SweepResult:
-    """Stationary primal distance to ``reference`` across increasing step
-    ratios; ``tau_rule(lam)`` supplies the primal step for each ratio."""
-    lambdas = list(lambdas)
-    if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
-        raise ValueError("lambdas must be strictly increasing")
-    w2s, flags = [], []
-    for lam in lambdas:
-        params = SamplerParams(tau=float(tau_rule(lam)), lam=lam, theta=theta, seed=seed)
-        store = run_ensemble(
-            target, params, n_chains=n_chains, n_steps=n_steps,
-            burn_in=burn_in, thinning=thinning, kind=kind,
-        )
-        w2s.append(_w2_to_reference(store, reference))
-        flags.append(_stationary_flag(store.xs))
-    return SweepResult(
-        values=np.array(lambdas), w2=np.array(w2s), stationary=np.array(flags)
+        values=np.array(values), w2=np.array(w2s), stationary=np.array(flags)
     )

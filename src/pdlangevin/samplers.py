@@ -1,17 +1,20 @@
-"""Markov chain update rules and ensemble execution.
+"""Markov chain step kernels and the driver that runs them.
 
-Implements the primal-dual Langevin iteration (outer / inner /
-generalized-noise variants), the purely primal Langevin step, the
-subgradient baseline, and an Euler scheme for the bias-corrected joint
-diffusion. All step functions accept states whose arrays carry an optional
-leading batch axis, so an ensemble of chains advances in single vectorized
-calls.
+Each sampler is built once, by :func:`make_step`, as a kernel
+``step(state, xi) -> state``: a deterministic map of the chain state and a
+standard-normal draw. The samplers are the primal-dual Langevin iteration
+(outer / inner / generalized-noise variants), the purely primal Langevin
+step, the subgradient baseline, and an Euler scheme for the bias-corrected
+joint diffusion. States carry a leading chain axis, so an ensemble
+advances in single vectorized calls. One private driver steps every run:
+independent ensembles (one noise stream per chain, :func:`run_ensemble`)
+and coupled chains that share one stream (``coupling.run_coupled_pair``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -101,6 +104,10 @@ class ChainState:
         return cls(x=x, y=y, x_prev=x.copy(), n=0)
 
 
+# step(state, xi) -> next state; built by make_step
+Kernel = Callable[[ChainState, np.ndarray], ChainState]
+
+
 @dataclass
 class ValidationReport:
     """Step-size regime flags for a (target, params) pair."""
@@ -168,81 +175,73 @@ def validate_params(
     )
 
 
-def _check_dims(state: ChainState, target: TargetSpec) -> None:
-    if state.x.shape[-1] != target.dim_primal or state.y.shape[-1] != target.dim_dual:
-        raise ValueError(
-            f"state dims x{state.x.shape}/y{state.y.shape} do not match target "
-            f"({target.dim_primal}, {target.dim_dual})"
-        )
-
-
-def ulpda_step(
-    state: ChainState, target: TargetSpec, params: SamplerParams, rng
-) -> ChainState:
-    """One primal-dual Langevin step: dual prox ascent on the extrapolated
-    primal point, primal prox descent, then noise injection per variant."""
-    _check_dims(state, target)
+def _ulpda_kernel(target: TargetSpec, params: SamplerParams) -> Kernel:
+    """Primal-dual Langevin step: dual prox ascent on the extrapolated primal
+    point, primal prox descent, then noise injection per variant."""
     tau, sigma, theta = params.tau, params.sigma, params.theta
-    K = target.K
-    # Work in place only on arrays made here: the state's arrays, the noise
-    # and what K or a prox returns may be shared with the caller. IEEE sums
-    # and products commute, so the swapped operands change no bit.
-    x_theta = state.x - state.x_prev
-    x_theta *= theta
-    x_theta += state.x
-    dual_arg = sigma * K.apply(x_theta)
-    dual_arg += state.y
-    y_new = target.fstar_prox.eval(dual_arg, sigma)
-    drift_arg = tau * K.adjoint(y_new)
-    np.subtract(state.x, drift_arg, out=drift_arg)
-    if params.noise_variant == "outer":
-        x_new = math.sqrt(2.0 * tau) * rng.standard_normal(state.x.shape)
-        x_new += target.g_prox.eval(drift_arg, tau)
-    elif params.noise_variant == "inner":
-        drift_arg += math.sqrt(2.0 * tau) * rng.standard_normal(state.x.shape)
-        x_new = target.g_prox.eval(drift_arg, tau)
-    else:  # general
-        d, m = target.dim_primal, target.dim_dual
-        xi = rng.standard_normal(state.x.shape[:-1] + (d + m,))
-        root_tau = math.sqrt(tau)
-        x_new = root_tau * (xi @ np.asarray(params.B_X).T)
-        x_new += target.g_prox.eval(drift_arg, tau)
-        y_new = y_new + root_tau * (xi @ np.asarray(params.B_Y).T)
-    return ChainState(x=x_new, y=y_new, x_prev=state.x, n=state.n + 1)
+    K, variant = target.K, params.noise_variant
+    root_2tau, root_tau = math.sqrt(2.0 * tau), math.sqrt(tau)
+    if variant == "general":
+        B_XT, B_YT = np.asarray(params.B_X).T, np.asarray(params.B_Y).T
+
+    def step(state: ChainState, xi: np.ndarray) -> ChainState:
+        # Work in place only on arrays made here: the state's arrays, the
+        # noise and what K or a prox returns may be shared with the caller.
+        # IEEE sums and products commute, so swapped operands change no bit.
+        x_theta = state.x - state.x_prev
+        x_theta *= theta
+        x_theta += state.x
+        dual_arg = sigma * K.apply(x_theta)
+        dual_arg += state.y
+        y_new = target.fstar_prox.eval(dual_arg, sigma)
+        drift_arg = tau * K.adjoint(y_new)
+        np.subtract(state.x, drift_arg, out=drift_arg)
+        if variant == "outer":
+            x_new = root_2tau * xi
+            x_new += target.g_prox.eval(drift_arg, tau)
+        elif variant == "inner":
+            drift_arg += root_2tau * xi
+            x_new = target.g_prox.eval(drift_arg, tau)
+        else:  # general: xi is a joint (d + m)-dimensional draw
+            x_new = root_tau * (xi @ B_XT)
+            x_new += target.g_prox.eval(drift_arg, tau)
+            y_new = y_new + root_tau * (xi @ B_YT)
+        return ChainState(x=x_new, y=y_new, x_prev=state.x, n=state.n + 1)
+
+    return step
 
 
-def ula_step(
-    state: ChainState, target: TargetSpec, params: SamplerParams, rng
-) -> ChainState:
+def _ula_kernel(target: TargetSpec, params: SamplerParams) -> Kernel:
     """Euler step of the overdamped primal diffusion; the dual is untouched."""
     if target.h_grad is None:
-        raise ValueError("ula_step requires the full-potential gradient h_grad")
-    tau = params.tau
-    xi = rng.standard_normal(state.x.shape)
-    x_new = state.x - tau * target.h_grad(state.x) + math.sqrt(2.0 * tau) * xi
-    return ChainState(x=x_new, y=state.y, x_prev=state.x, n=state.n + 1)
+        raise ValueError("ula requires the full-potential gradient h_grad")
+    tau, root_2tau = params.tau, math.sqrt(2.0 * params.tau)
+
+    def step(state: ChainState, xi: np.ndarray) -> ChainState:
+        x_new = state.x - tau * target.h_grad(state.x) + root_2tau * xi
+        return ChainState(x=x_new, y=state.y, x_prev=state.x, n=state.n + 1)
+
+    return step
 
 
-def prox_sub_step(
-    state: ChainState, target: TargetSpec, params: SamplerParams, rng
-) -> ChainState:
+def _prox_sub_kernel(target: TargetSpec, params: SamplerParams) -> Kernel:
     """Subgradient baseline: the dual is set to an exact element of the
     subdifferential of f at Kx (the minimal-norm one at kinks), then the
     primal takes a prox-gradient Langevin step."""
     if target.f_subgrad is None:
-        raise ValueError("prox_sub_step requires f_subgrad")
-    _check_dims(state, target)
-    tau = params.tau
-    y_new = target.f_subgrad(target.K.apply(state.x))
-    drift = target.g_prox.eval(state.x - tau * target.K.adjoint(y_new), tau)
-    xi = rng.standard_normal(state.x.shape)
-    x_new = drift + math.sqrt(2.0 * tau) * xi
-    return ChainState(x=x_new, y=y_new, x_prev=state.x, n=state.n + 1)
+        raise ValueError("prox_sub requires f_subgrad")
+    K, tau, root_2tau = target.K, params.tau, math.sqrt(2.0 * params.tau)
+
+    def step(state: ChainState, xi: np.ndarray) -> ChainState:
+        y_new = target.f_subgrad(K.apply(state.x))
+        drift = target.g_prox.eval(state.x - tau * K.adjoint(y_new), tau)
+        x_new = drift + root_2tau * xi
+        return ChainState(x=x_new, y=y_new, x_prev=state.x, n=state.n + 1)
+
+    return step
 
 
-def modified_sde_step(
-    state: ChainState, target: TargetSpec, params: SamplerParams, rng
-) -> ChainState:
+def _modified_sde_kernel(target: TargetSpec, params: SamplerParams) -> Kernel:
     """Euler-Maruyama step of the bias-corrected joint diffusion.
 
     Requires smooth data: gradients of g, f and the conjugate, plus the
@@ -251,51 +250,52 @@ def modified_sde_step(
     """
     for name in ("g_grad", "f_grad", "f_hess_apply", "fstar_grad"):
         if getattr(target, name) is None:
-            raise ValueError(f"modified_sde_step requires {name}")
-    _check_dims(state, target)
-    tau, lam = params.tau, params.lam
-    K = target.K
-    u = K.apply(state.x)
-    grad_g = target.g_grad(state.x)
-    grad_h = grad_g + K.adjoint(target.f_grad(u))
+            raise ValueError(f"modified_sde requires {name}")
+    K, tau, lam = target.K, params.tau, params.lam
+    root_2tau = math.sqrt(2.0 * tau)
 
-    def mt(v):  # M(x)^T v = H_f(Kx) K v
-        return target.f_hess_apply(u, K.apply(v))
+    def step(state: ChainState, xi: np.ndarray) -> ChainState:
+        u = K.apply(state.x)
+        grad_g = target.g_grad(state.x)
+        grad_h = grad_g + K.adjoint(target.f_grad(u))
 
-    xi = rng.standard_normal(state.x.shape)
-    root = math.sqrt(2.0 * tau)
-    x_new = state.x - tau * (grad_g + K.adjoint(state.y)) + root * xi
-    y_drift = lam * (target.fstar_grad(state.y) - u) + mt(grad_h)
-    y_new = state.y - tau * y_drift + root * mt(xi)
-    return ChainState(x=x_new, y=y_new, x_prev=state.x, n=state.n + 1)
+        def mt(v):  # M(x)^T v = H_f(Kx) K v
+            return target.f_hess_apply(u, K.apply(v))
+
+        x_new = state.x - tau * (grad_g + K.adjoint(state.y)) + root_2tau * xi
+        y_drift = lam * (target.fstar_grad(state.y) - u) + mt(grad_h)
+        y_new = state.y - tau * y_drift + root_2tau * mt(xi)
+        return ChainState(x=x_new, y=y_new, x_prev=state.x, n=state.n + 1)
+
+    return step
 
 
-_STEP_FNS = {
-    "ulpda": ulpda_step,
-    "ula": ula_step,
-    "prox_sub": prox_sub_step,
-    "modified_sde": modified_sde_step,
+_KERNELS = {
+    "ulpda": _ulpda_kernel,
+    "ula": _ula_kernel,
+    "prox_sub": _prox_sub_kernel,
+    "modified_sde": _modified_sde_kernel,
 }
 
 
-def _noise_dim(target: TargetSpec, params: SamplerParams, kind: str) -> int:
-    """Length of one chain's standard-normal draw per step."""
+def make_step(kind: str, target: TargetSpec, params: SamplerParams) -> Kernel:
+    """Build the step kernel ``step(state, xi) -> ChainState`` of one sampler.
+
+    ``kind`` is "ulpda" (variant from ``params.noise_variant``), "ula",
+    "prox_sub" or "modified_sde". Everything fixed for the run is settled
+    here, once: the oracle checks (a missing oracle raises ``ValueError``),
+    the noise scales and the noise blocks' transposes. The kernel is a
+    deterministic map of the state and a standard-normal draw ``xi`` of
+    shape ``state.x.shape[:-1] + (step.noise_dim,)``; it does not check
+    the dimensions of what it is given and never writes into the state,
+    the noise, or anything K or a prox returns.
+    """
+    if kind not in _KERNELS:
+        raise ValueError(f"unknown sampler kind {kind!r}; choose from {tuple(_KERNELS)}")
+    step = _KERNELS[kind](target, params)
     general = kind == "ulpda" and params.noise_variant == "general"
-    return target.dim_primal + target.dim_dual if general else target.dim_primal
-
-
-class _FixedNoise:
-    """rng stand-in handing out a precomputed standard-normal draw."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: np.ndarray):
-        self.value = value
-
-    def standard_normal(self, shape) -> np.ndarray:
-        if tuple(shape) != self.value.shape:
-            raise ValueError(f"noise shape {self.value.shape} != requested {tuple(shape)}")
-        return self.value
+    step.noise_dim = target.dim_primal + (target.dim_dual if general else 0)
+    return step
 
 
 @dataclass
@@ -356,10 +356,63 @@ def _resolve_init(init, n_chains: int, d: int, m: int, rngs) -> tuple[np.ndarray
             Y = np.stack([scale * r.standard_normal(m) for r in rngs])
             return X, Y
         raise ValueError(f"unknown init spec {init[0]!r}")
-    X0, Y0 = init
-    X = np.array(X0, dtype=float).reshape(n_chains, d)
-    Y = np.array(Y0, dtype=float).reshape(n_chains, m)
-    return X, Y
+    return init
+
+
+def _initial_state(target: TargetSpec, n_rows: int, X, Y) -> ChainState:
+    """The state a driver starts from. This is where states enter from
+    outside, so it is the one dimension check: kernels trust their input."""
+    state = ChainState.initial(X, Y)
+    want = (n_rows, target.dim_primal), (n_rows, target.dim_dual)
+    if (state.x.shape, state.y.shape) != want:
+        raise ValueError(
+            f"init shapes x{state.x.shape}/y{state.y.shape} do not match {n_rows} "
+            f"chains of the target's dimensions ({target.dim_primal}, {target.dim_dual})"
+        )
+    return state
+
+
+def _drive(
+    step: Kernel,
+    state: ChainState,
+    rngs: Sequence[np.random.Generator],
+    n_steps: int,
+    on_step: Callable[[int, ChainState], None],
+    block: int = 256,
+) -> None:
+    """Advance the chains in the rows of ``state`` by ``n_steps`` kernel
+    steps, calling ``on_step(n, state)`` on the state after n steps, for
+    n = 0 to ``n_steps``. Callers keep what they need inside the hook, not
+    the states: a state returned to the caller would be freed after the
+    noise buffer, and glibc's heap-trim threshold rises when a buffer that
+    size is unmapped, so the heap that held the states would stay mapped
+    (peak RSS 381 -> 422 MB on 128x128 TV with 24 chains).
+
+    ``rngs`` holds one generator per row, or a single generator whose draws
+    every row shares (coupled chains). Noise is drawn ``block`` steps at a
+    time, fewer when a block would exceed 2**22 doubles (32 MB); each
+    generator's stream does not depend on the blocking.
+    """
+    n_rows, dim = state.x.shape[0], step.noise_dim
+    block = max(1, min(block, (1 << 22) // max(1, n_rows * dim)))
+    if len(rngs) == 1:
+        def draw(nb):
+            return np.broadcast_to(rngs[0].standard_normal((nb, 1, dim)), (nb, n_rows, dim))
+    else:
+        buffer = np.empty((min(block, n_steps), n_rows, dim))
+
+        def draw(nb):
+            for i, r in enumerate(rngs):
+                buffer[:nb, i, :] = r.standard_normal((nb, dim))
+            return buffer[:nb]
+
+    on_step(0, state)
+    n = 0
+    while n < n_steps:
+        for xi in draw(min(block, n_steps - n)):
+            state = step(state, xi)
+            n += 1
+            on_step(n, state)
 
 
 def run_ensemble(
@@ -380,58 +433,44 @@ def run_ensemble(
     Each chain owns a counter-based RNG stream derived from
     ``(params.seed, chain_index)``, so results are bit-reproducible and
     independent of batching. Samples are kept every ``thinning`` steps
-    after ``burn_in`` (plus the initial state when ``burn_in`` is 0), in
-    arrays of shape (n_kept, n_chains, dim) allocated before the first
-    step. Noise is drawn ``noise_block`` steps at a time into one reused
-    buffer of at most 2**22 doubles (32 MB); fewer steps per block when
-    the ensemble is large. Optional checkpoints invoke a callback with the
-    current (X, Y) ensemble arrays at selected step counts; the sampler
-    never writes into arrays it has handed out.
+    after ``burn_in`` (plus the initial state when ``burn_in`` is 0; the
+    final state when nothing else is kept), in arrays of shape
+    (n_kept, n_chains, dim) allocated before the first step. Noise is drawn
+    ``noise_block`` steps at a time into one reused buffer of at most 2**22
+    doubles (32 MB); fewer steps per block when the ensemble is large.
+    Optional checkpoints invoke a callback with the current (X, Y) ensemble
+    arrays at selected step counts; the sampler never writes into arrays it
+    has handed out.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
+    if n_steps < 0 or burn_in < 0:
+        raise ValueError(f"n_steps and burn_in must be >= 0, got {n_steps} and {burn_in}")
     if thinning < 1:
         raise ValueError("thinning must be >= 1")
     validate_params(target, params)
-    step_fn = _STEP_FNS[kind]
+    step = make_step(kind, target, params)
     d, m = target.dim_primal, target.dim_dual
-    noise_dim = _noise_dim(target, params, kind)
 
     rngs = _chain_rngs(params.seed, n_chains)
+    # the initial state when there is no burn-in, then every thinning-th
+    # step; the final state when that is none
+    kept_steps = range(burn_in + thinning if burn_in else 0, n_steps + 1, thinning)
+    kept_steps = kept_steps or range(n_steps, n_steps + 1)
+    xs = np.empty((len(kept_steps), n_chains, d))
+    ys = np.empty((len(kept_steps), n_chains, m))
+    # a checkpoint counts steps taken, so step 0 is none
+    checkpoint_set = set(checkpoints or ()) - {0} if on_checkpoint is not None else set()
+
+    def keep(n: int, s: ChainState) -> None:
+        if n in kept_steps:
+            i = kept_steps.index(n)
+            xs[i], ys[i] = s.x, s.y
+        if n in checkpoint_set:
+            on_checkpoint(n, s.x, s.y)
+
     X, Y = _resolve_init(init, n_chains, d, m, rngs)
-    state = ChainState.initial(X, Y)
-
-    # every thinning-th step after burn_in, from the first such step >= 1
-    first_kept = burn_in + thinning * max(1, -((burn_in - 1) // thinning))
-    kept_steps = range(first_kept, n_steps + 1, thinning)
-    keep_init = burn_in == 0 and n_steps >= 0
-    n_kept = keep_init + len(kept_steps)
-    xs = np.empty((max(n_kept, 1), n_chains, d))
-    ys = np.empty((max(n_kept, 1), n_chains, m))
-    n_filled = 0
-    if keep_init:
-        xs[0], ys[0] = state.x, state.y
-        n_filled = 1
-    checkpoint_set = set(checkpoints) if checkpoints is not None else set()
-
-    # cap the noise buffer at 2**22 doubles (32 MB)
-    block = max(1, min(noise_block, (1 << 22) // max(1, n_chains * noise_dim)))
-    noise = np.empty((min(block, max(n_steps, 0)), n_chains, noise_dim))
-    step = 0
-    while step < n_steps:
-        nb = min(block, n_steps - step)
-        for i, r in enumerate(rngs):
-            noise[:nb, i, :] = r.standard_normal((nb, noise_dim))
-        for j in range(nb):
-            state = step_fn(state, target, params, _FixedNoise(noise[j]))
-            step += 1
-            if step in kept_steps:
-                xs[n_filled], ys[n_filled] = state.x, state.y
-                n_filled += 1
-            if step in checkpoint_set and on_checkpoint is not None:
-                on_checkpoint(step, state.x, state.y)
-    if n_kept == 0:
-        xs[0], ys[0] = state.x, state.y
+    _drive(step, _initial_state(target, n_chains, X, Y), rngs, n_steps, keep, noise_block)
     return SampleStore(
         xs=xs,
         ys=ys,

@@ -39,7 +39,7 @@ from pdlangevin.prox import (
     quadratic_data_prox,
     scaled_square_prox,
 )
-from pdlangevin.samplers import ChainState, SamplerParams, run_ensemble, ulpda_step
+from pdlangevin.samplers import ChainState, SamplerParams, make_step, run_ensemble
 
 C_F, C_G, K = 1.0, 2.0, 1.5
 
@@ -79,6 +79,7 @@ def test_closed_form_covariance_matches_lyapunov_solver():
         )
 
 
+@pytest.mark.slow
 def test_ensemble_covariance_matches_closed_form():
     """A large primal-dual ensemble reproduces the closed-form joint
     stationary covariance within 3% (Frobenius) at step ratios 1, 10, 100."""
@@ -94,6 +95,7 @@ def test_ensemble_covariance_matches_closed_form():
         assert _rel_frobenius(_joint_cov(store), stationary_cov_pd(m)) < 0.03
 
 
+@pytest.mark.slow
 def test_primal_bias_decreases_with_step_ratio():
     """The primal-marginal transport distance to the target strictly
     decreases over step ratios 1, 10, 100, 1000 and the largest ratio ends
@@ -144,25 +146,16 @@ def test_coupled_chains_contract_and_respect_convex_bound():
         assert math.sqrt(max(u_sq, 0.0)) <= C * math.sqrt(trace1.plain[0]) + 1e-9
 
 
-class _ConstNoise:
-    """rng stand-in returning a constant fill value."""
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def standard_normal(self, shape):
-        return np.full(shape, self.value)
-
-
 def _probe_linear_transition(target, params):
     """Recover the (x, y, x_prev) transition matrix and noise vector of one
     sampler step on a quadratic target by probing with unit states."""
+    step = make_step("ulpda", target, params)
 
     def advance(x, y, xp, xi):
         state = ChainState(
             x=np.array([x]), y=np.array([y]), x_prev=np.array([xp]), n=0
         )
-        new = ulpda_step(state, target, params, _ConstNoise(xi))
+        new = step(state, np.array([xi]))
         return np.array([new.x[0], new.y[0], new.x_prev[0]])
 
     T = np.column_stack(
@@ -208,6 +201,7 @@ def test_inner_and_outer_noise_agree_at_small_steps():
     assert gap < 0.02
 
 
+@pytest.mark.slow
 def test_bias_corrected_diffusion_removes_step_ratio_bias():
     """Euler simulation of the corrected joint diffusion reproduces its
     closed-form stationary covariance (whose primal entry is exactly the
@@ -225,6 +219,7 @@ def test_bias_corrected_diffusion_removes_step_ratio_bias():
     assert _rel_frobenius(_joint_cov(store), want) < 0.05
 
 
+@pytest.mark.slow
 def test_two_pixel_transport_curves_order_by_step_ratio():
     """On the 2-pixel total-variation posterior the stationary transport
     distance to a fine-step subgradient reference is smallest for the
@@ -282,6 +277,7 @@ def test_two_pixel_transport_curves_order_by_step_ratio():
     assert results["ps"] < results["lam1000"] < results["lam100"] < results["lam10"]
 
 
+@pytest.mark.slow
 def test_image_dispersion_and_denoising_signatures():
     """32x32 denoising: primal pixel variance shrinks and dual variance
     grows as the step ratio increases toward the subgradient sampler, and

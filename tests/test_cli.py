@@ -19,6 +19,7 @@ from pdlangevin.cli import (
     save_image_pgm,
     synthetic_phantom,
 )
+from pdlangevin.linop import grad2d
 from pdlangevin.metrics import psnr
 
 
@@ -267,3 +268,53 @@ class TestMainExitCodes:
         ])
         assert code == 0
         assert (tmp_path / "out" / "sweep.csv").exists()
+
+
+class TestSweepOrdering:
+    # the sweep grid is checked where sweep_values comes in: a config error
+    def test_requires_decreasing_taus(self, tmp_path, capsys):
+        code = main([
+            "sweep", "sweep_kind=tau", "sweep_values=1e-3,2e-3", "n_chains=2", "n_steps=4",
+            "burn_in=0", f"output_dir={tmp_path}/out",
+        ])
+        assert code == 2
+        assert "decreasing" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_requires_increasing(self, tmp_path, capsys):
+        code = main([
+            "sweep", "sweep_kind=lambda", "sweep_values=10,1", "n_chains=2",
+            "n_steps=4", f"output_dir={tmp_path}/out",
+        ])
+        assert code == 2
+        assert "increasing" in capsys.readouterr().err
+
+    def test_validate_gives_the_same_verdict(self, capsys):
+        assert main(["validate", "scenario=sweep", "sweep_kind=lambda", "sweep_values=10,1"]) == 2
+        assert "increasing" in capsys.readouterr().err
+
+
+class TestValidateMatchesRun:
+    def test_reads_the_input_image(self, tmp_path, capsys):
+        # L is that of the input image's grid, not of width x height
+        save_image_pgm(tmp_path / "in.pgm", synthetic_phantom(9, 5))
+        assert main(["validate", "scenario=tv_image", f"input_image={tmp_path}/in.pgm"]) == 0
+        out = capsys.readouterr().out
+        assert f"L = {grad2d(9, 5).norm():.6g}\n" in out
+        assert f"L = {grad2d(32, 32).norm():.6g}\n" not in out
+
+    def test_reports_the_clamped_tau(self, tmp_path, capsys):
+        ov = ["scenario=tv_image", "width=8", "height=6", "lam=10000"]
+        assert main(["validate", *ov]) == 0
+        out = capsys.readouterr().out
+        assert "note: tau lowered from 0.02" in out
+        assert main(["run", *ov, "n_chains=2", "n_steps=5", f"output_dir={tmp_path}/out"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert f"tau = {manifest['tau']:.6g}\n" in out
+
+    def test_sampler_without_oracle_is_a_config_error(self, tmp_path, capsys):
+        # tv2pixel has no full-potential gradient, so ula cannot run on it
+        ov = ["scenario=tv2pixel", "sampler=ula"]
+        assert main(["validate", *ov]) == 2
+        assert main(["run", *ov, "n_chains=2", "n_steps=5", f"output_dir={tmp_path}/out"]) == 2
+        assert "h_grad" in capsys.readouterr().err

@@ -8,15 +8,24 @@ import pytest
 from pdlangevin.analytic import GaussModel1D, stationary_cov_pd, target_variance
 from pdlangevin.coupling import (
     CouplingTrace,
-    bias_sweep_tau,
     fit_contraction_rate,
-    lambda_sweep,
     run_coupled_pair,
+    sweep,
 )
-from pdlangevin.models import gauss1d_target
+from pdlangevin.models import gauss1d_target, tv2pixel_target
 from pdlangevin.samplers import SamplerParams, run_ensemble
 
 BENCH = GaussModel1D(1.0, 2.0, 1.5)
+
+
+def _tau_params(lam, seed=0):
+    """Step-size sweep: each grid value is tau, the ratio lam is fixed."""
+    return lambda tau: SamplerParams(tau=tau, lam=lam, seed=seed)
+
+
+def _lambda_params(tau, seed=0):
+    """Step-ratio sweep: each grid value is lam, the step tau is fixed."""
+    return lambda lam: SamplerParams(tau=tau, lam=lam, seed=seed)
 
 
 def _inits(rng, scale=2.0):
@@ -96,6 +105,38 @@ class TestRunCoupledPair:
         )
         np.testing.assert_allclose(general.delta, outer.delta, rtol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["ula", "prox_sub", "modified_sde"])
+    def test_other_kinds_run_and_equal_inits_stay_collapsed(self, kind):
+        target = gauss1d_target(BENCH)
+        init = (np.array([0.4]), np.array([-0.2]))
+        same = run_coupled_pair(target, SamplerParams(tau=0.01, lam=1.0, seed=6), init, init,
+                                n_steps=50, kind=kind)
+        assert len(same) == 51
+        assert np.all(same.delta == 0.0)
+        # every chain here is affine with additive noise, so shared draws
+        # cancel in the differences: the trace does not depend on the seed
+        other = (np.array([-1.0]), np.array([0.3]))
+        apart = [
+            run_coupled_pair(target, SamplerParams(tau=0.01, lam=1.0, seed=seed), init, other,
+                             n_steps=50, kind=kind).delta
+            for seed in (6, 7)
+        ]
+        assert np.all(apart[0] > 0)
+        np.testing.assert_allclose(apart[0], apart[1], rtol=1e-9)
+
+    def test_prox_sub_on_two_pixels(self):
+        target = tv2pixel_target(np.array([0.0, 1.0]), 0.5, 3.0)
+        p = SamplerParams(tau=0.01, lam=10.0, seed=2)
+        init = (np.array([0.2, 0.7]), np.zeros(1))
+        trace = run_coupled_pair(target, p, init, init, n_steps=50, kind="prox_sub")
+        assert np.all(trace.delta == 0.0)
+
+    def test_dimension_mismatch(self):
+        target = gauss1d_target(BENCH)
+        p = SamplerParams(tau=0.1, lam=1.0)
+        with pytest.raises(ValueError, match="init shapes"):
+            run_coupled_pair(target, p, (np.zeros(2), np.zeros(1)), (np.zeros(2), np.zeros(1)), 5)
+
 
 class TestFitContractionRate:
     def _synthetic(self, deltas):
@@ -131,18 +172,13 @@ class TestFitContractionRate:
 
 
 class TestBiasSweepTau:
-    def test_requires_decreasing_taus(self):
-        target = gauss1d_target(BENCH)
-        with pytest.raises(ValueError, match="decreasing"):
-            bias_sweep_tau(target, 1.0, [1e-3, 2e-3], (0.0, 1.0), n_chains=2, n_steps=4, burn_in=0)
-
     def test_moment_reference_runs(self):
         m = GaussModel1D(1.0, 2.0, 1.5, lam=10.0)
         target = gauss1d_target(m)
         ref = (0.0, stationary_cov_pd(m)[0, 0])
-        result = bias_sweep_tau(
-            target, 10.0, [4e-3, 2e-3], ref,
-            n_chains=300, n_steps=3000, burn_in=1500, seed=5,
+        result = sweep(
+            target, [4e-3, 2e-3], _tau_params(10.0, seed=5), ref,
+            n_chains=300, n_steps=3000, burn_in=1500,
         )
         assert result.w2.shape == (2,)
         assert np.all(result.w2 >= 0)
@@ -152,34 +188,29 @@ class TestBiasSweepTau:
         m = GaussModel1D(1.0, 2.0, 1.5, lam=1.0)
         target = gauss1d_target(m)
         # far-out point init and no burn-in: halves of the run differ
-        result = bias_sweep_tau(
-            target, 1.0, [1e-3], (0.0, target_variance(m)),
-            n_chains=200, n_steps=400, burn_in=0, seed=6,
+        result = sweep(
+            target, [1e-3], _tau_params(1.0, seed=6), (0.0, target_variance(m)),
+            n_chains=200, n_steps=400, burn_in=0,
         )
         assert not result.stationary[0]
 
 
 class TestLambdaSweep:
-    def test_requires_increasing(self):
-        target = gauss1d_target(BENCH)
-        with pytest.raises(ValueError, match="increasing"):
-            lambda_sweep(target, [10.0, 1.0], lambda lam: 1e-3, (0.0, 1.0), n_chains=2, n_steps=4)
-
     def test_decreasing_bias(self):
         target = gauss1d_target(BENCH)
         ref = (0.0, target_variance(BENCH))
-        result = lambda_sweep(
-            target, [1.0, 100.0], lambda lam: 0.01, ref,
-            n_chains=2000, n_steps=4000, burn_in=1000, seed=7,
+        result = sweep(
+            target, [1.0, 100.0], _lambda_params(0.01, seed=7), ref,
+            n_chains=2000, n_steps=4000, burn_in=1000,
         )
         assert result.w2[1] < result.w2[0]
         assert result.loglog_slope() < 0
 
     def test_points_property(self):
         target = gauss1d_target(BENCH)
-        result = lambda_sweep(
-            target, [1.0, 10.0], lambda lam: 0.01, (0.0, target_variance(BENCH)),
-            n_chains=50, n_steps=200, burn_in=100, seed=8,
+        result = sweep(
+            target, [1.0, 10.0], _lambda_params(0.01, seed=8), (0.0, target_variance(BENCH)),
+            n_chains=50, n_steps=200, burn_in=100,
         )
         pts = result.points
         assert len(pts) == 2 and pts[0][0] == 1.0

@@ -14,20 +14,12 @@ from pdlangevin.samplers import (
     ChainState,
     SamplerParams,
     TargetSpec,
-    _FixedNoise,
-    modified_sde_step,
-    prox_sub_step,
+    make_step,
     run_ensemble,
-    ula_step,
-    ulpda_step,
     validate_params,
 )
 
 BENCH = GaussModel1D(1.0, 2.0, 1.5)
-
-
-def _zero_noise(shape):
-    return _FixedNoise(np.zeros(shape))
 
 
 class TestSamplerParams:
@@ -94,7 +86,7 @@ class TestUlpdaStep:
         target = gauss1d_target(BENCH)
         p = SamplerParams(tau=1e-2, lam=1.0)
         state = ChainState.initial(np.zeros(1), np.zeros(1))
-        out = ulpda_step(state, target, p, _zero_noise((1,)))
+        out = make_step("ulpda", target, p)(state, np.zeros(1))
         np.testing.assert_array_equal(out.x, np.zeros(1))
         np.testing.assert_array_equal(out.y, np.zeros(1))
         assert out.n == 1
@@ -103,7 +95,7 @@ class TestUlpdaStep:
         target = gauss1d_target(BENCH)
         p = SamplerParams(tau=1e-2, lam=1e-12, theta=0.0)
         state = ChainState.initial(np.array([0.7]), np.array([0.4]))
-        out = ulpda_step(state, target, p, _zero_noise((1,)))
+        out = make_step("ulpda", target, p)(state, np.zeros(1))
         assert out.y[0] == pytest.approx(0.4, abs=1e-10)
         # primal becomes a proximal gradient step on g with the frozen dual
         drift = target.g_prox.eval(state.x - p.tau * target.K.adjoint(out.y), p.tau)
@@ -116,8 +108,8 @@ class TestUlpdaStep:
         p_out = SamplerParams(tau=tau, lam=1.0, noise_variant="outer")
         p_in = SamplerParams(tau=tau, lam=1.0, noise_variant="inner")
         state = ChainState.initial(np.array([0.3]), np.array([-0.2]))
-        a = ulpda_step(state, target, p_out, _FixedNoise(xi.copy()))
-        b = ulpda_step(state, target, p_in, _FixedNoise(xi.copy()))
+        a = make_step("ulpda", target, p_out)(state, xi)
+        b = make_step("ulpda", target, p_in)(state, xi)
         # inner variant shrinks the noise by the same prox scaling factor
         shrink = 1.0 / (1.0 + tau / BENCH.c_g)
         drift = target.g_prox.eval(state.x - tau * target.K.adjoint(a.y), tau)
@@ -132,40 +124,38 @@ class TestUlpdaStep:
         tau = 1e-2
         p_out = SamplerParams(tau=tau, lam=1.0, noise_variant="outer")
         p_gen = SamplerParams(tau=tau, lam=1.0, noise_variant="general", B_X=B_X, B_Y=B_Y)
+        step_out, step_gen = make_step("ulpda", target, p_out), make_step("ulpda", target, p_gen)
+        assert (step_out.noise_dim, step_gen.noise_dim) == (d, d + m)
         rng = np.random.default_rng(0)
         state_a = ChainState.initial(np.array([0.5]), np.array([0.1]))
         state_b = ChainState.initial(np.array([0.5]), np.array([0.1]))
         for _ in range(25):
             joint = rng.standard_normal(d + m)
-            state_a = ulpda_step(state_a, target, p_out, _FixedNoise(joint[:d]))
-            state_b = ulpda_step(state_b, target, p_gen, _FixedNoise(joint))
+            state_a = step_out(state_a, joint[:d])
+            state_b = step_gen(state_b, joint)
             # sqrt(tau)*sqrt(2) vs sqrt(2*tau) differ in the last ulp
             np.testing.assert_allclose(state_a.x, state_b.x, rtol=1e-13, atol=1e-15)
             np.testing.assert_allclose(state_a.y, state_b.y, rtol=1e-13, atol=1e-15)
 
-    def test_dimension_mismatch(self):
+    def test_unknown_kind(self):
         target = gauss1d_target(BENCH)
-        p = SamplerParams(tau=1e-2, lam=1.0)
-        with pytest.raises(ValueError):
-            ulpda_step(ChainState.initial(np.zeros(2), np.zeros(1)), target, p, _zero_noise((2,)))
+        with pytest.raises(ValueError, match="bogus"):
+            make_step("bogus", target, SamplerParams(tau=1e-2, lam=1.0))
 
 
-def _ref_ulpda_step(state, target, params, rng):
-    """The out-of-place formulas ulpda_step replaced."""
+def _ref_ulpda_step(state, target, params, xi):
+    """The out-of-place formulas of the primal-dual step, for ``xi`` of
+    length d (outer, inner) or d + m (general)."""
     tau, sigma, theta = params.tau, params.sigma, params.theta
     K = target.K
     x_theta = state.x + theta * (state.x - state.x_prev)
     y_new = target.fstar_prox.eval(state.y + sigma * K.apply(x_theta), sigma)
     drift_arg = state.x - tau * K.adjoint(y_new)
     if params.noise_variant == "outer":
-        xi = rng.standard_normal(state.x.shape)
         x_new = target.g_prox.eval(drift_arg, tau) + math.sqrt(2.0 * tau) * xi
     elif params.noise_variant == "inner":
-        xi = rng.standard_normal(state.x.shape)
         x_new = target.g_prox.eval(drift_arg + math.sqrt(2.0 * tau) * xi, tau)
     else:
-        d, m = target.dim_primal, target.dim_dual
-        xi = rng.standard_normal(state.x.shape[:-1] + (d + m,))
         root_tau = math.sqrt(tau)
         x_new = target.g_prox.eval(drift_arg, tau) + root_tau * (xi @ np.asarray(params.B_X).T)
         y_new = y_new + root_tau * (xi @ np.asarray(params.B_Y).T)
@@ -232,8 +222,8 @@ class TestUlpdaInPlace:
         target = _image_target()
         p = _variant_params(target, variant)
         state, xi = _random_state_and_noise(target, variant)
-        out = ulpda_step(state, target, p, _FixedNoise(xi))
-        expect = _ref_ulpda_step(state, target, p, _FixedNoise(xi.copy()))
+        out = make_step("ulpda", target, p)(state, xi)
+        expect = _ref_ulpda_step(state, target, p, xi.copy())
         np.testing.assert_array_equal(out.x, expect.x)
         np.testing.assert_array_equal(out.y, expect.y)
         assert out.x_prev is state.x
@@ -245,9 +235,10 @@ class TestUlpdaInPlace:
         p = _variant_params(target, variant)
         state, xi = _random_state_and_noise(target, variant)
         held = [(a, a.copy()) for a in (state.x, state.y, state.x_prev, xi)]
-        out = ulpda_step(state, target, p, _FixedNoise(xi))
+        step = make_step("ulpda", target, p)
+        out = step(state, xi)
         held += [(a, a.copy()) for a in (out.x, out.y)]
-        ulpda_step(out, target, p, _FixedNoise(xi))
+        step(out, xi)
         for a, snapshot in held:
             np.testing.assert_array_equal(a, snapshot)
         spy.assert_untouched()
@@ -258,7 +249,7 @@ class TestUlaStep:
         target = gauss1d_target(BENCH)
         p = SamplerParams(tau=1e-2, lam=1.0)
         state = ChainState.initial(np.zeros(1), np.zeros(1))
-        out = ula_step(state, target, p, _zero_noise((1,)))
+        out = make_step("ula", target, p)(state, np.zeros(1))
         np.testing.assert_array_equal(out.x, np.zeros(1))
 
     def test_one_step_contraction_at_optimal_tau(self):
@@ -266,8 +257,9 @@ class TestUlaStep:
         target = gauss1d_target(BENCH)
         v_h = 1.0 / BENCH.c_g + BENCH.k**2 / BENCH.c_f
         p = SamplerParams(tau=1.0 / v_h, lam=1.0)
-        a = ula_step(ChainState.initial(np.array([3.0]), np.zeros(1)), target, p, _zero_noise((1,)))
-        b = ula_step(ChainState.initial(np.array([-2.0]), np.zeros(1)), target, p, _zero_noise((1,)))
+        step = make_step("ula", target, p)
+        a = step(ChainState.initial(np.array([3.0]), np.zeros(1)), np.zeros(1))
+        b = step(ChainState.initial(np.array([-2.0]), np.zeros(1)), np.zeros(1))
         assert abs(a.x[0] - b.x[0]) < 1e-12
 
     def test_long_run_variance_matches_target(self):
@@ -281,7 +273,7 @@ class TestUlaStep:
         target = tv2pixel_target(np.array([0.0, 1.0]), 1.0, 1.0)  # no h_grad
         p = SamplerParams(tau=1e-2, lam=1.0)
         with pytest.raises(ValueError, match="h_grad"):
-            ula_step(ChainState.initial(np.zeros(2), np.zeros(1)), target, p, _zero_noise((2,)))
+            make_step("ula", target, p)
 
 
 class TestProxSubStep:
@@ -289,14 +281,14 @@ class TestProxSubStep:
         target = tv2pixel_target(np.array([0.0, 1.0]), 1.0, 2.0)
         p = SamplerParams(tau=1e-2, lam=1.0)
         state = ChainState.initial(np.array([0.0, 1.0]), np.zeros(1))  # Kx = 1 > 0
-        out = prox_sub_step(state, target, p, _zero_noise((2,)))
+        out = make_step("prox_sub", target, p)(state, np.zeros(2))
         assert out.y[0] == 2.0
 
     def test_minimal_norm_choice_at_kink(self):
         target = tv2pixel_target(np.array([0.0, 1.0]), 1.0, 2.0)
         p = SamplerParams(tau=1e-2, lam=1.0)
         state = ChainState.initial(np.array([0.5, 0.5]), np.zeros(1))  # Kx = 0
-        out = prox_sub_step(state, target, p, _zero_noise((2,)))
+        out = make_step("prox_sub", target, p)(state, np.zeros(2))
         assert out.y[0] == 0.0
 
     def test_missing_subgradient(self):
@@ -304,7 +296,7 @@ class TestProxSubStep:
         stripped = type(target)(g_prox=target.g_prox, fstar_prox=target.fstar_prox, K=target.K)
         p = SamplerParams(tau=1e-2, lam=1.0)
         with pytest.raises(ValueError, match="f_subgrad"):
-            prox_sub_step(ChainState.initial(np.zeros(1), np.zeros(1)), stripped, p, _zero_noise((1,)))
+            make_step("prox_sub", stripped, p)
 
     def test_agrees_with_ulpda_at_huge_lambda(self):
         target = gauss1d_target(BENCH)
@@ -324,9 +316,10 @@ class TestModifiedSdeStep:
         p = SamplerParams(tau=1e-3, lam=5.0)
         x0 = np.array([0.8])
         state = ChainState.initial(x0, m.k * x0 / m.c_f)  # y = grad f(Kx)
+        step = make_step("modified_sde", target, p)
         residuals = []
         for _ in range(200):
-            state = modified_sde_step(state, target, p, _zero_noise((1,)))
+            state = step(state, np.zeros(1))
             residuals.append(abs(state.y[0] - m.k * state.x[0] / m.c_f))
         assert residuals[-1] < 1e-6
         assert all(b <= a + 1e-15 for a, b in zip(residuals, residuals[1:]))
@@ -334,8 +327,8 @@ class TestModifiedSdeStep:
     def test_missing_smooth_data(self):
         target = tv2pixel_target(np.array([0.0, 1.0]), 1.0, 1.0)
         p = SamplerParams(tau=1e-3, lam=1.0)
-        with pytest.raises(ValueError):
-            modified_sde_step(ChainState.initial(np.zeros(2), np.zeros(1)), target, p, _zero_noise((2,)))
+        with pytest.raises(ValueError, match="f_grad"):
+            make_step("modified_sde", target, p)
 
 
 class TestRunEnsemble:
@@ -393,6 +386,23 @@ class TestRunEnsemble:
             run_ensemble(target, p, n_chains=0, n_steps=10)
         with pytest.raises(ValueError):
             run_ensemble(target, p, n_chains=1, n_steps=10, thinning=0)
+        with pytest.raises(ValueError, match="n_steps"):
+            run_ensemble(target, p, n_chains=1, n_steps=-3)
+        with pytest.raises(ValueError, match="burn_in"):
+            run_ensemble(target, p, n_chains=1, n_steps=10, burn_in=-1)
+
+    def test_dimension_mismatch(self):
+        # the driver checks a state where it enters from outside; kernels
+        # trust the shapes they are given
+        target = gauss1d_target(BENCH)
+        p = SamplerParams(tau=1e-2, lam=1.0)
+        for init in [
+            (np.zeros((2, 2)), np.zeros((2, 1))),  # wrong primal dimension
+            (np.zeros((1, 2)), np.zeros((2, 1))),  # right size, wrong shape
+            (np.zeros((3, 1)), np.zeros((3, 1))),  # three chains for two
+        ]:
+            with pytest.raises(ValueError, match="init shapes"):
+                run_ensemble(target, p, n_chains=2, n_steps=5, init=init)
 
     def test_invalid_params_rejected_before_stepping(self):
         target = gauss1d_target(BENCH)
