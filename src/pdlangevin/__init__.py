@@ -51,10 +51,6 @@ from .prox import (
     ProxOperator,
     group_ball_projection,
     interval_projection,
-    project_interval,
-    project_l2_ball_groups,
-    prox_quadratic_data,
-    prox_scaled_square,
     prox_via_moreau,
     quadratic_data_prox,
     scaled_square_prox,
@@ -62,6 +58,7 @@ from .prox import (
 )
 from .samplers import (
     ChainState,
+    DivergenceError,
     SamplerParams,
     SampleStore,
     TargetSpec,

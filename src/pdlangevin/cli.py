@@ -9,7 +9,7 @@ and a JSON manifest that makes every run reproducible.
 Config files are flat ``key = value`` text (UTF-8, ``#`` comments); every
 key can be overridden on the command line as trailing ``key=value``
 arguments. Exit codes: 0 success, 2 config error, 3 step-size regime
-violation, 4 IO error.
+violation or a diverged chain, 4 IO error (a missing or malformed file).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -200,9 +200,11 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {self._SCENARIOS}")
         if self.sampler not in self._SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}; choose from {self._SAMPLERS}")
-        for name in ("lam", "theta", "sigma_eps", "alpha", "alpha1", "alpha0"):
-            if getattr(self, name) < 0 or (name in ("lam",) and getattr(self, name) <= 0):
-                raise ConfigError(f"{name} must be positive")
+        for name in ("lam", "sigma_eps", "alpha", "alpha1", "alpha0"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 <= self.theta <= 1.0:
+            raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         for name in ("n_chains", "n_steps", "thinning", "width", "height"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -298,7 +300,10 @@ def _build_problem(cfg: ScenarioConfig) -> _Problem:
         tau = cfg.tau if cfg.tau > 0 else 1e-2
     else:  # tv_image, tgv_image
         if cfg.input_image:
-            clean = load_image_pgm(cfg.input_image)
+            try:
+                clean = load_image_pgm(cfg.input_image)
+            except ValueError as e:  # a malformed input file, like a missing one
+                raise OSError(f"cannot read {cfg.input_image}: {e}") from e
             extra["input_bytes"] = Path(cfg.input_image).read_bytes()
         else:
             clean = synthetic_phantom(cfg.width, cfg.height)
@@ -523,22 +528,23 @@ def _sweep_values(cfg: ScenarioConfig) -> list[float]:
     return values
 
 
+def _sweep_params(cfg: ScenarioConfig) -> Callable[[float], SamplerParams]:
+    """The sampler parameters of one sweep point: a step ratio with the
+    gauss1d step rule, or a step size at the configured ratio."""
+    fixed = dict(theta=cfg.theta, seed=cfg.seed)
+    if cfg.sweep_kind == "lambda":
+        return lambda lam: SamplerParams(tau=gauss1d_stepsizes(lam, cfg.k, cfg.c)[0],
+                                         lam=lam, **fixed)
+    return lambda tau: SamplerParams(tau=tau, lam=cfg.lam, **fixed)
+
+
 def _run_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
     values = _sweep_values(cfg)
     model = GaussModel1D(cfg.c_f, cfg.c_g, cfg.k, lam=cfg.lam)
-    fixed = dict(theta=cfg.theta, seed=cfg.seed)
-    if cfg.sweep_kind == "lambda":
-        reference = (0.0, target_variance(model))
-
-        def params_for(lam):
-            return SamplerParams(tau=gauss1d_stepsizes(lam, cfg.k, cfg.c)[0], lam=lam, **fixed)
-    else:
-        reference = (0.0, stationary_cov_pd(model)[0, 0])
-
-        def params_for(tau):
-            return SamplerParams(tau=tau, lam=cfg.lam, **fixed)
+    lam_sweep = cfg.sweep_kind == "lambda"
+    reference = (0.0, target_variance(model) if lam_sweep else stationary_cov_pd(model)[0, 0])
     result = sweep(
-        gauss1d_target(model), values, params_for, reference, n_chains=cfg.n_chains,
+        gauss1d_target(model), values, _sweep_params(cfg), reference, n_chains=cfg.n_chains,
         n_steps=cfg.n_steps, burn_in=cfg.burn_in, thinning=cfg.thinning,
     )
     slope = result.loglog_slope()
@@ -599,8 +605,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = parse_config(*_config_and_overrides(args))
     if cfg.scenario == "sweep":
-        _sweep_values(cfg)
-        print("sweep configs are validated per point at run time")
+        target = gauss1d_target(GaussModel1D(cfg.c_f, cfg.c_g, cfg.k, lam=cfg.lam))
+        params_for = _sweep_params(cfg)
+        for value in _sweep_values(cfg):
+            params = params_for(value)
+            report = validate_params(target, params)
+            print(f"{cfg.sweep_kind} = {value:.6g}: tau = {params.tau:.6g}, "
+                  f"sigma = {params.sigma:.6g}, tau sigma L^2 = {report.tau_sigma_L2:.6g}")
         return 0
     prob = _build_problem(cfg)
     report = prob.report

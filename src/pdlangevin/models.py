@@ -16,8 +16,6 @@ from .prox import (
     ProxOperator,
     group_ball_projection,
     interval_projection,
-    project_l2_ball_groups,
-    prox_quadratic_data,
     quadratic_data_prox,
     scaled_square_prox,
 )
@@ -107,18 +105,18 @@ def tgv_image_target(
     E = sym_grad2d(width, height)
     K = tgv_block(width, height, E)
     m_top = 2 * d  # dual entries paired with grad u - v
+    data = quadratic_data_prox(noisy, var)
+    ball1, ball0 = group_ball_projection(alpha1, 2), group_ball_projection(alpha0, 3)
 
     def g_eval(z, gamma):
-        z = np.asarray(z, dtype=float)
         out = z.copy()
-        out[..., :d] = prox_quadratic_data(z[..., :d], gamma, noisy, var)
+        out[..., :d] = data.eval(z[..., :d], gamma)
         return out
 
     def fstar_eval(y, gamma):
-        y = np.asarray(y, dtype=float)
         out = np.empty_like(y)
-        out[..., :m_top] = project_l2_ball_groups(y[..., :m_top], alpha1, 2)
-        out[..., m_top:] = project_l2_ball_groups(y[..., m_top:], alpha0, 3)
+        out[..., :m_top] = ball1.eval(y[..., :m_top], gamma)
+        out[..., m_top:] = ball0.eval(y[..., m_top:], gamma)
         return out
 
     def f_subgrad(u):

@@ -9,6 +9,8 @@ joint diffusion. States carry a leading chain axis, so an ensemble
 advances in single vectorized calls. One private driver steps every run:
 independent ensembles (one noise stream per chain, :func:`run_ensemble`)
 and coupled chains that share one stream (``coupling.run_coupled_pair``).
+It is also the one place that checks the chains stay finite, for every
+sampler.
 """
 
 from __future__ import annotations
@@ -106,6 +108,15 @@ class ChainState:
 
 # step(state, xi) -> next state; built by make_step
 Kernel = Callable[[ChainState, np.ndarray], ChainState]
+
+
+class DivergenceError(ValueError):
+    """A chain's state has a non-finite entry; ``chain`` is its row and
+    ``step`` the number of steps taken when it was found."""
+
+    def __init__(self, chain: int, step: int):
+        super().__init__(f"chain {chain} diverged: non-finite state at step {step}")
+        self.chain, self.step = chain, step
 
 
 @dataclass
@@ -392,6 +403,11 @@ def _drive(
     every row shares (coupled chains). Noise is drawn ``block`` steps at a
     time, fewer when a block would exceed 2**22 doubles (32 MB); each
     generator's stream does not depend on the blocking.
+
+    Every state is checked before ``on_step`` sees it: one sum, and a
+    search of the rows only when that sum is not finite (a sum of finite
+    entries may overflow). The first non-finite row raises
+    :class:`DivergenceError`.
     """
     n_rows, dim = state.x.shape[0], step.noise_dim
     block = max(1, min(block, (1 << 22) // max(1, n_rows * dim)))
@@ -406,13 +422,20 @@ def _drive(
                 buffer[:nb, i, :] = r.standard_normal((nb, dim))
             return buffer[:nb]
 
-    on_step(0, state)
+    def visit(n: int, s: ChainState) -> None:
+        if not np.isfinite(s.x.sum() + s.y.sum()):
+            bad = ~(np.isfinite(s.x).all(axis=1) & np.isfinite(s.y).all(axis=1))
+            if bad.any():
+                raise DivergenceError(int(bad.argmax()), n)
+        on_step(n, s)
+
+    visit(0, state)
     n = 0
     while n < n_steps:
         for xi in draw(min(block, n_steps - n)):
             state = step(state, xi)
             n += 1
-            on_step(n, state)
+            visit(n, state)
 
 
 def run_ensemble(

@@ -1,8 +1,12 @@
 """Config parsing, image IO, step-size rule, scenario runs, exit codes."""
 
 import csv
+import importlib.util
 import json
 import math
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,12 +247,45 @@ class TestMainExitCodes:
         assert code == 3
         assert "regime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, override", [
+        ("gauss1d", "theta=1.5"),
+        ("gauss1d", "theta=-0.5"),
+        ("tv_image", "alpha=0"),
+        ("tgv_image", "alpha1=0"),
+        ("tgv_image", "alpha0=0"),
+        ("tv_image", "sigma_eps=0"),
+    ])
+    def test_value_out_of_range_is_a_config_error(self, scenario, override, tmp_path, capsys):
+        code = main(["run", f"scenario={scenario}", override, "width=8", "height=8",
+                     "n_chains=2", "n_steps=2", f"output_dir={tmp_path}/out"])
+        assert code == 2
+        assert f"config error: {override.split('=')[0]} must" in capsys.readouterr().err
+
+    def test_diverging_chain(self, tmp_path, capsys):
+        # ula at tau = 3 multiplies the primal by -7.25 per step
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "scenario=gauss1d", "sampler=ula", "tau=3", "lam=0.01",
+                         "n_steps=3000", f"output_dir={tmp_path}/out"])
+        assert code == 3
+        step = re.search(r"diverged: non-finite state at step (\d+)", capsys.readouterr().err)
+        assert step is not None and int(step.group(1)) < 3000
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_io_error(self, tmp_path, capsys):
         code = main([
             "run", "scenario=tv_image", f"input_image={tmp_path}/missing.pgm",
             f"output_dir={tmp_path}/out",
         ])
         assert code == 4
+
+    def test_malformed_pgm_is_an_io_error(self, tmp_path, capsys):
+        (tmp_path / "bad.pgm").write_bytes(b"P2\n2 1\n255\n7 x\n")
+        code = main([
+            "run", "scenario=tv_image", f"input_image={tmp_path}/bad.pgm",
+            f"output_dir={tmp_path}/out",
+        ])
+        assert code == 4
+        assert "io error" in capsys.readouterr().err
 
     def test_validate_command(self, capsys):
         assert main(["validate", "scenario=gauss1d", "lam=10"]) == 0
@@ -312,9 +349,37 @@ class TestValidateMatchesRun:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert f"tau = {manifest['tau']:.6g}\n" in out
 
+    @pytest.mark.parametrize(
+        "overrides", [["c=2"], ["sweep_kind=tau", "sweep_values=5,1", "lam=10"]], ids=["c", "tau"]
+    )
+    def test_sweep_points_are_validated(self, overrides, tmp_path, capsys):
+        assert main(["validate", "scenario=sweep", *overrides]) == 3
+        assert main(["sweep", *overrides, "n_chains=2", "n_steps=4",
+                     f"output_dir={tmp_path}/out"]) == 3
+
+    def test_validate_prints_each_sweep_point(self, capsys):
+        assert main(["validate", "scenario=sweep", "sweep_values=1,10,100"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["lambda = 1", "lambda = 10",
+                                                          "lambda = 100"]
+        assert all(line.endswith("tau sigma L^2 = 0.0001") for line in lines)
+
     def test_sampler_without_oracle_is_a_config_error(self, tmp_path, capsys):
         # tv2pixel has no full-potential gradient, so ula cannot run on it
         ov = ["scenario=tv2pixel", "sampler=ula"]
         assert main(["validate", *ov]) == 2
         assert main(["run", *ov, "n_chains=2", "n_steps=5", f"output_dir={tmp_path}/out"]) == 2
         assert "h_grad" in capsys.readouterr().err
+
+
+class TestBenchContract:
+    def test_every_workload_validates(self, monkeypatch):
+        # a stricter config check must not quietly fail a benchmark workload
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        assert len(module.WORKLOADS) == 4
+        failed = [name for name, w in module.WORKLOADS.items() if main(w.validate_args()) != 0]
+        assert failed == []

@@ -13,7 +13,7 @@ from pdlangevin.coupling import (
     sweep,
 )
 from pdlangevin.models import gauss1d_target, tv2pixel_target
-from pdlangevin.samplers import SamplerParams, run_ensemble
+from pdlangevin.samplers import DivergenceError, SamplerParams, run_ensemble
 
 BENCH = GaussModel1D(1.0, 2.0, 1.5)
 
@@ -130,6 +130,21 @@ class TestRunCoupledPair:
         init = (np.array([0.2, 0.7]), np.zeros(1))
         trace = run_coupled_pair(target, p, init, init, n_steps=50, kind="prox_sub")
         assert np.all(trace.delta == 0.0)
+
+    def test_divergence_is_caught(self):
+        # at tau = 3 the ula step multiplies the primal by about -7.25, so
+        # chain 1, started at 1e300, overflows within a few dozen steps
+        target = gauss1d_target(BENCH)
+        p = SamplerParams(tau=3.0, lam=0.01, seed=3)
+        a, b = (np.zeros(1), np.zeros(1)), (np.full(1, 1e300), np.zeros(1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as caught:
+                run_coupled_pair(target, p, a, b, n_steps=100, kind="ula")
+            step = caught.value.step
+            assert caught.value.chain == 1 and 1 <= step < 100
+            assert len(run_coupled_pair(target, p, a, b, n_steps=step - 1, kind="ula")) == step
+            with pytest.raises(DivergenceError, match=f"at step {step}$"):
+                run_coupled_pair(target, p, a, b, n_steps=step, kind="ula")
 
     def test_dimension_mismatch(self):
         target = gauss1d_target(BENCH)

@@ -1,5 +1,6 @@
 """Chain update rules, parameter validation, and ensemble execution."""
 
+import functools
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from pdlangevin.models import gauss1d_target, tv2pixel_target, tv_image_target
 from pdlangevin.prox import ProxOperator
 from pdlangevin.samplers import (
     ChainState,
+    DivergenceError,
     SamplerParams,
     TargetSpec,
     make_step,
@@ -477,3 +479,48 @@ class TestRunEnsemble:
         p = SamplerParams(tau=1e-2, lam=1.0, seed=2)
         store = run_ensemble(target, p, n_chains=500, n_steps=0, init=("gaussian", 2.0))
         assert store.xs[0].std() == pytest.approx(2.0, rel=0.2)
+
+
+def _diverging_init(kind):
+    """Four chains at 0 but chain 2. At tau = 3 the explicit steps multiply
+    the primal by about -2 to -7 per step, so chain 2's primal of 1e300
+    overflows within a few dozen steps. ulpda is stable at these step sizes,
+    but chain 2's dual of 1e308 overflows tau * K^T y in the first step.
+    The chains started at 0 take hundreds of steps to overflow."""
+    X, Y = np.zeros((4, 1)), np.zeros((4, 1))
+    if kind == "ulpda":
+        Y[2] = 1e308
+    else:
+        X[2] = 1e300
+    return X, Y
+
+
+class TestDrive:
+    @pytest.mark.parametrize("kind", ["ulpda", "ula", "prox_sub", "modified_sde"])
+    def test_divergence_is_caught(self, kind):
+        run = functools.partial(
+            run_ensemble, gauss1d_target(BENCH), SamplerParams(tau=3.0, lam=0.01, seed=1),
+            n_chains=4, init=_diverging_init(kind), kind=kind,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as caught:
+                run(n_steps=100)
+            err = caught.value
+            assert err.chain == 2 and 1 <= err.step < 100
+            assert str(err) == f"chain 2 diverged: non-finite state at step {err.step}"
+            # the named step is the first non-finite one: every earlier
+            # state is finite, and the run stops at the named step
+            store = run(n_steps=err.step - 1)
+            assert np.isfinite(store.xs).all() and np.isfinite(store.ys).all()
+            with pytest.raises(DivergenceError, match=f"at step {err.step}$"):
+                run(n_steps=err.step)
+
+    def test_finite_state_whose_sum_overflows_is_not_flagged(self):
+        # the sums over x and y are +inf and -inf, their total NaN, yet every
+        # entry is finite
+        X, Y = np.full((3, 1), 1e308), np.full((3, 1), -1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            store = run_ensemble(gauss1d_target(BENCH), SamplerParams(tau=1e-2, lam=1.0),
+                                 n_chains=3, n_steps=2, init=(X, Y))
+        assert np.all(np.abs(store.xs) > 1e307) and np.all(np.abs(store.ys) > 1e307)
+        np.testing.assert_array_equal(store.xs[0], X)
