@@ -65,9 +65,13 @@ class ImageGrid:
 
 
 def load_image_pgm(path) -> ImageGrid:
-    """Read a PGM image (P2 ASCII or P5 binary, maxval <= 65535) and scale
-    intensities to [0, 1] by exact division by maxval."""
-    raw = Path(path).read_bytes()
+    """Read a PGM image file; see :func:`parse_pgm`."""
+    return parse_pgm(Path(path).read_bytes())
+
+
+def parse_pgm(raw: bytes) -> ImageGrid:
+    """Parse the bytes of a PGM image (P2 ASCII or P5 binary, maxval <=
+    65535) and scale intensities to [0, 1] by exact division by maxval."""
     magic = raw[:2]
     if magic not in (b"P2", b"P5"):
         raise ValueError(f"not a PGM file: magic bytes {magic!r}")
@@ -200,12 +204,16 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {self._SCENARIOS}")
         if self.sampler not in self._SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}; choose from {self._SAMPLERS}")
-        for name in ("lam", "sigma_eps", "alpha", "alpha1", "alpha0"):
+        for name in ("lam", "sigma_eps", "alpha", "alpha1", "alpha0", "c_f", "c_g",
+                     "ref_tau_factor"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
-        for name in ("n_chains", "n_steps", "thinning", "width", "height"):
+        if self.k == 0:
+            raise ConfigError("k must be nonzero")
+        for name in ("n_chains", "n_steps", "thinning", "width", "height", "n_checkpoints",
+                     "ref_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.burn_in < 0:
@@ -300,11 +308,13 @@ def _build_problem(cfg: ScenarioConfig) -> _Problem:
         tau = cfg.tau if cfg.tau > 0 else 1e-2
     else:  # tv_image, tgv_image
         if cfg.input_image:
+            # one read: the manifest hashes the bytes that were parsed
+            raw = Path(cfg.input_image).read_bytes()
             try:
-                clean = load_image_pgm(cfg.input_image)
+                clean = parse_pgm(raw)
             except ValueError as e:  # a malformed input file, like a missing one
                 raise OSError(f"cannot read {cfg.input_image}: {e}") from e
-            extra["input_bytes"] = Path(cfg.input_image).read_bytes()
+            extra["input_bytes"] = raw
         else:
             clean = synthetic_phantom(cfg.width, cfg.height)
         noisy = add_gaussian_noise(clean, cfg.sigma_eps, seed=cfg.seed + 10_000)

@@ -24,8 +24,8 @@ from .samplers import (
     TargetSpec,
     _drive,
     _initial_state,
+    _prepare_ensemble,
     make_step,
-    run_ensemble,
     validate_params,
 )
 
@@ -94,7 +94,7 @@ def run_coupled_pair(
         plain = (1.0 / tau) * float(u @ u) + (1.0 - tsl) * (1.0 / sigma) * float(v @ v)
         rows.append((p, q, inc, cr, p + q + inc + cr, plain))
 
-    _drive(step, _initial_state(target, 2, X, Y), [rng], n_steps, record)
+    _drive(step, _initial_state(target, (2,), X, Y), [rng], n_steps, record)
     return CouplingTrace(*np.array(rows).T, params=params, L=report.L)
 
 
@@ -148,15 +148,14 @@ def _stationary_flag(primal: np.ndarray, threshold: float = 1e-2) -> bool:
     return w2_1d(first, second) / scale < threshold
 
 
-def _w2_to_reference(store, reference, batch_cap: int = 2000) -> float:
-    """Stationary primal-marginal distance to a reference.
+def _w2_to_reference(cloud: np.ndarray, reference, batch_cap: int = 2000) -> float:
+    """Stationary distance of the pooled (n, d) primal ``cloud`` to a reference.
 
     ``reference`` is either a (mean, variance) pair — closed-form Gaussian
     distance against the empirical primal moments (1D only) — or an
     :class:`EmpiricalMeasure`, matched by exact assignment over disjoint
     equal-size batches whose average is returned.
     """
-    cloud = store.x_samples
     if isinstance(reference, tuple) and len(reference) == 2 and np.isscalar(reference[0]):
         if cloud.shape[1] != 1:
             raise ValueError("moment reference requires a 1D primal marginal")
@@ -194,19 +193,24 @@ def sweep(
     """Stationary primal distance to ``reference`` at each grid value.
 
     ``params_for(value)`` gives the sampler parameters of each point (say,
-    a step size or a step ratio, with the other settings fixed); every
-    point runs a fresh ensemble. Non-stationary runs are flagged, not
-    rejected.
+    a step size or a step ratio, with the other settings fixed). All points
+    run as one batched ensemble (see ``samplers.run_ensemble``), each
+    bit-identical to a fresh ensemble of that point alone; only the primal
+    samples are kept. Non-stationary runs are flagged, not rejected.
     """
     values = list(values)
-    w2s, flags = [], []
-    for value in values:
-        store = run_ensemble(
-            target, params_for(value), n_chains=n_chains, n_steps=n_steps,
-            burn_in=burn_in, thinning=thinning, kind=kind,
-        )
-        w2s.append(_w2_to_reference(store, reference))
-        flags.append(_stationary_flag(store.xs))
+    step, state, rngs, kept_steps = _prepare_ensemble(
+        target, [params_for(v) for v in values], n_chains, n_steps, burn_in, thinning, kind, None
+    )
+    xs = np.empty((len(values), len(kept_steps), n_chains, target.dim_primal))
+
+    def keep(n: int, s: ChainState) -> None:
+        if n in kept_steps:
+            xs[:, kept_steps.index(n)] = s.x
+
+    _drive(step, state, rngs, n_steps, keep)
     return SweepResult(
-        values=np.array(values), w2=np.array(w2s), stationary=np.array(flags)
+        values=np.array(values),
+        w2=np.array([_w2_to_reference(x.reshape(-1, x.shape[-1]), reference) for x in xs]),
+        stationary=np.array([_stationary_flag(x) for x in xs]),
     )

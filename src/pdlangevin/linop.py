@@ -75,8 +75,10 @@ def _forward_diffs_into(img, out) -> None:
 def _neg_divergence_into(g, out) -> None:
     """Adjoint of :func:`_forward_diffs_into`: ``g`` (..., h, w, 2) into ``out`` (..., h, w)."""
     gh, gv = g[..., 0], g[..., 1]
-    out[...] = 0.0
-    out[..., :, 1:] += gh[..., :, :-1]
+    # 0.0 + gh and gh + 0.0 are the same IEEE sum, so this is the zero-fill
+    # and first add in one pass, signs of zero included
+    np.add(gh[..., :, :-1], 0.0, out=out[..., :, 1:])
+    out[..., :, 0] = 0.0
     out[..., :, :-1] -= gh[..., :, :-1]
     out[..., 1:, :] += gv[..., :-1, :]
     out[..., :-1, :] -= gv[..., :-1, :]

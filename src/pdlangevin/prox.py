@@ -2,7 +2,9 @@
 
 Each operator has one form, a factory: it checks once what its arguments
 fix and returns a :class:`ProxOperator` whose ``eval(v, gamma)`` does only
-the arithmetic (projections ignore the step size). No operator checks its
+the arithmetic (projections ignore the step size). Every formula is
+elementwise, so ``gamma`` may be an array that broadcasts against ``v``,
+such as the per-point step-size column of a batched run. No operator checks its
 input for non-finite entries: the samplers' driver checks every state.
 """
 
@@ -51,7 +53,7 @@ def scaled_square_prox(c: float) -> ProxOperator:
         raise ValueError(f"c must be positive, got {c}")
 
     def eval(v, gamma):
-        if gamma < 0:
+        if (gamma.min() if isinstance(gamma, np.ndarray) else gamma) < 0:
             raise ValueError(f"gamma must be nonnegative, got {gamma}")
         return v / (1.0 + gamma / c)
 

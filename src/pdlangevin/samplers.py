@@ -6,18 +6,20 @@ standard-normal draw. The samplers are the primal-dual Langevin iteration
 (outer / inner / generalized-noise variants), the purely primal Langevin
 step, the subgradient baseline, and an Euler scheme for the bias-corrected
 joint diffusion. States carry a leading chain axis, so an ensemble
-advances in single vectorized calls. One private driver steps every run:
-independent ensembles (one noise stream per chain, :func:`run_ensemble`)
-and coupled chains that share one stream (``coupling.run_coupled_pair``).
-It is also the one place that checks the chains stay finite, for every
-sampler.
+advances in single vectorized calls; a kernel built for P parameter points
+takes a further leading point axis, so the points of a sweep advance
+together too. One private driver steps every run: independent ensembles
+(one noise stream per chain, :func:`run_ensemble`), batched ensembles over
+parameter points (``coupling.sweep``) and coupled chains that share one
+stream (``coupling.run_coupled_pair``). It is also the one place that
+checks the chains stay finite, for every sampler.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -111,12 +113,14 @@ Kernel = Callable[[ChainState, np.ndarray], ChainState]
 
 
 class DivergenceError(ValueError):
-    """A chain's state has a non-finite entry; ``chain`` is its row and
-    ``step`` the number of steps taken when it was found."""
+    """A chain's state has a non-finite entry; ``chain`` is its row (within
+    point ``point`` of a batched run, else ``point`` is None) and ``step``
+    the number of steps taken when it was found."""
 
-    def __init__(self, chain: int, step: int):
-        super().__init__(f"chain {chain} diverged: non-finite state at step {step}")
-        self.chain, self.step = chain, step
+    def __init__(self, chain: int, step: int, point: Optional[int] = None):
+        where = f"chain {chain}" if point is None else f"chain {chain} of point {point}"
+        super().__init__(f"{where} diverged: non-finite state at step {step}")
+        self.chain, self.step, self.point = chain, step, point
 
 
 @dataclass
@@ -186,14 +190,14 @@ def validate_params(
     )
 
 
-def _ulpda_kernel(target: TargetSpec, params: SamplerParams) -> Kernel:
+def _ulpda_kernel(target: TargetSpec, shared: SamplerParams, c: dict) -> Kernel:
     """Primal-dual Langevin step: dual prox ascent on the extrapolated primal
     point, primal prox descent, then noise injection per variant."""
-    tau, sigma, theta = params.tau, params.sigma, params.theta
-    K, variant = target.K, params.noise_variant
-    root_2tau, root_tau = math.sqrt(2.0 * tau), math.sqrt(tau)
+    tau, sigma, theta = c["tau"], c["sigma"], c["theta"]
+    root_2tau, root_tau = c["root_2tau"], c["root_tau"]
+    K, variant = target.K, shared.noise_variant
     if variant == "general":
-        B_XT, B_YT = np.asarray(params.B_X).T, np.asarray(params.B_Y).T
+        B_XT, B_YT = np.asarray(shared.B_X).T, np.asarray(shared.B_Y).T
 
     def step(state: ChainState, xi: np.ndarray) -> ChainState:
         # Work in place only on arrays made here: the state's arrays, the
@@ -222,11 +226,11 @@ def _ulpda_kernel(target: TargetSpec, params: SamplerParams) -> Kernel:
     return step
 
 
-def _ula_kernel(target: TargetSpec, params: SamplerParams) -> Kernel:
+def _ula_kernel(target: TargetSpec, shared: SamplerParams, c: dict) -> Kernel:
     """Euler step of the overdamped primal diffusion; the dual is untouched."""
     if target.h_grad is None:
         raise ValueError("ula requires the full-potential gradient h_grad")
-    tau, root_2tau = params.tau, math.sqrt(2.0 * params.tau)
+    tau, root_2tau = c["tau"], c["root_2tau"]
 
     def step(state: ChainState, xi: np.ndarray) -> ChainState:
         x_new = state.x - tau * target.h_grad(state.x) + root_2tau * xi
@@ -235,13 +239,13 @@ def _ula_kernel(target: TargetSpec, params: SamplerParams) -> Kernel:
     return step
 
 
-def _prox_sub_kernel(target: TargetSpec, params: SamplerParams) -> Kernel:
+def _prox_sub_kernel(target: TargetSpec, shared: SamplerParams, c: dict) -> Kernel:
     """Subgradient baseline: the dual is set to an exact element of the
     subdifferential of f at Kx (the minimal-norm one at kinks), then the
     primal takes a prox-gradient Langevin step."""
     if target.f_subgrad is None:
         raise ValueError("prox_sub requires f_subgrad")
-    K, tau, root_2tau = target.K, params.tau, math.sqrt(2.0 * params.tau)
+    K, tau, root_2tau = target.K, c["tau"], c["root_2tau"]
 
     def step(state: ChainState, xi: np.ndarray) -> ChainState:
         y_new = target.f_subgrad(K.apply(state.x))
@@ -252,7 +256,7 @@ def _prox_sub_kernel(target: TargetSpec, params: SamplerParams) -> Kernel:
     return step
 
 
-def _modified_sde_kernel(target: TargetSpec, params: SamplerParams) -> Kernel:
+def _modified_sde_kernel(target: TargetSpec, shared: SamplerParams, c: dict) -> Kernel:
     """Euler-Maruyama step of the bias-corrected joint diffusion.
 
     Requires smooth data: gradients of g, f and the conjugate, plus the
@@ -262,8 +266,7 @@ def _modified_sde_kernel(target: TargetSpec, params: SamplerParams) -> Kernel:
     for name in ("g_grad", "f_grad", "f_hess_apply", "fstar_grad"):
         if getattr(target, name) is None:
             raise ValueError(f"modified_sde requires {name}")
-    K, tau, lam = target.K, params.tau, params.lam
-    root_2tau = math.sqrt(2.0 * tau)
+    K, tau, lam, root_2tau = target.K, c["tau"], c["lam"], c["root_2tau"]
 
     def step(state: ChainState, xi: np.ndarray) -> ChainState:
         u = K.apply(state.x)
@@ -288,8 +291,35 @@ _KERNELS = {
     "modified_sde": _modified_sde_kernel,
 }
 
+# one SamplerParams, or one per point of a batched run
+Params = Union[SamplerParams, Sequence[SamplerParams]]
 
-def make_step(kind: str, target: TargetSpec, params: SamplerParams) -> Kernel:
+
+def _points(params: Params) -> tuple[SamplerParams, ...]:
+    points = (params,) if isinstance(params, SamplerParams) else tuple(params)
+    if not points:
+        raise ValueError("a batched run needs at least one SamplerParams")
+    return points
+
+
+def _same_block(a, b) -> bool:
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
+
+
+def _coefficients(points: Sequence[SamplerParams], batched: bool) -> dict:
+    """Each point's step sizes and noise scales: scalars for an unbatched
+    run, (P, 1, 1) columns for a batched one."""
+    per_point = [
+        dict(tau=p.tau, sigma=p.sigma, theta=p.theta, lam=p.lam,
+             root_2tau=math.sqrt(2.0 * p.tau), root_tau=math.sqrt(p.tau))
+        for p in points
+    ]
+    if not batched:
+        return per_point[0]
+    return {k: np.array([c[k] for c in per_point]).reshape(-1, 1, 1) for k in per_point[0]}
+
+
+def make_step(kind: str, target: TargetSpec, params: Params) -> Kernel:
     """Build the step kernel ``step(state, xi) -> ChainState`` of one sampler.
 
     ``kind`` is "ulpda" (variant from ``params.noise_variant``), "ula",
@@ -300,11 +330,28 @@ def make_step(kind: str, target: TargetSpec, params: SamplerParams) -> Kernel:
     shape ``state.x.shape[:-1] + (step.noise_dim,)``; it does not check
     the dimensions of what it is given and never writes into the state,
     the noise, or anything K or a prox returns.
+
+    ``params`` is one :class:`SamplerParams`, whose step sizes enter as
+    scalars, or a sequence of P of them, one per point of a batched run.
+    A batched kernel takes states of shape (P, n_rows, dim), point j in
+    row block j, and holds tau, sigma, theta, lam and the noise scales as
+    (P, 1, 1) columns, made once here. A column times an array gives each
+    element the IEEE result the scalar gives, so every point's chains are
+    bit-identical to an unbatched run of that point. The points must share
+    the noise variant and the noise blocks (``ValueError`` otherwise).
     """
     if kind not in _KERNELS:
         raise ValueError(f"unknown sampler kind {kind!r}; choose from {tuple(_KERNELS)}")
-    step = _KERNELS[kind](target, params)
-    general = kind == "ulpda" and params.noise_variant == "general"
+    points = _points(params)
+    shared = points[0]
+    for p in points[1:]:
+        if p.noise_variant != shared.noise_variant or not (
+            _same_block(p.B_X, shared.B_X) and _same_block(p.B_Y, shared.B_Y)
+        ):
+            raise ValueError("the points of a batched run must share the noise variant and blocks")
+    coefficients = _coefficients(points, batched=not isinstance(params, SamplerParams))
+    step = _KERNELS[kind](target, shared, coefficients)
+    general = kind == "ulpda" and shared.noise_variant == "general"
     step.noise_dim = target.dim_primal + (target.dim_dual if general else 0)
     return step
 
@@ -343,13 +390,15 @@ class SampleStore:
         return self.ys[-1]
 
 
-def _chain_rngs(seed: int, n_chains: int) -> list[np.random.Generator]:
+def _chain_rngs(seed: int, n_chains: int) -> np.ndarray:
     # counter-based Philox streams keyed by (master seed, chain index):
     # reproducible and independent of any worker layout
-    return [
+    rngs = np.empty(n_chains, dtype=object)
+    rngs[:] = [
         np.random.Generator(np.random.Philox(seed=np.random.SeedSequence([seed, i])))
         for i in range(n_chains)
     ]
+    return rngs
 
 
 def _resolve_init(init, n_chains: int, d: int, m: int, rngs) -> tuple[np.ndarray, np.ndarray]:
@@ -370,15 +419,16 @@ def _resolve_init(init, n_chains: int, d: int, m: int, rngs) -> tuple[np.ndarray
     return init
 
 
-def _initial_state(target: TargetSpec, n_rows: int, X, Y) -> ChainState:
-    """The state a driver starts from. This is where states enter from
-    outside, so it is the one dimension check: kernels trust their input."""
+def _initial_state(target: TargetSpec, rows: tuple[int, ...], X, Y) -> ChainState:
+    """The state a driver starts from, with leading axes ``rows``. This is
+    where states enter from outside, so it is the one dimension check:
+    kernels trust their input."""
     state = ChainState.initial(X, Y)
-    want = (n_rows, target.dim_primal), (n_rows, target.dim_dual)
+    want = rows + (target.dim_primal,), rows + (target.dim_dual,)
     if (state.x.shape, state.y.shape) != want:
         raise ValueError(
-            f"init shapes x{state.x.shape}/y{state.y.shape} do not match {n_rows} "
-            f"chains of the target's dimensions ({target.dim_primal}, {target.dim_dual})"
+            f"init shapes x{state.x.shape}/y{state.y.shape} do not match the "
+            f"target's x{want[0]}/y{want[1]}"
         )
     return state
 
@@ -386,7 +436,7 @@ def _initial_state(target: TargetSpec, n_rows: int, X, Y) -> ChainState:
 def _drive(
     step: Kernel,
     state: ChainState,
-    rngs: Sequence[np.random.Generator],
+    rngs: np.ndarray,
     n_steps: int,
     on_step: Callable[[int, ChainState], None],
     block: int = 256,
@@ -399,34 +449,40 @@ def _drive(
     size is unmapped, so the heap that held the states would stay mapped
     (peak RSS 381 -> 422 MB on 128x128 TV with 24 chains).
 
-    ``rngs`` holds one generator per row, or a single generator whose draws
-    every row shares (coupled chains). Noise is drawn ``block`` steps at a
-    time, fewer when a block would exceed 2**22 doubles (32 MB); each
-    generator's stream does not depend on the blocking.
+    The rows are the state's leading axes: (n_chains,), or (P, n_chains)
+    for a batched kernel. ``rngs`` is an array of generators whose shape
+    broadcasts to the rows: one per row, one per chain that every point
+    shares, or a single one whose draws every row shares (coupled chains).
+    Each generator draws once per step and ``np.broadcast_to`` hands its
+    draw to every row it serves; kernels never write into the noise. Noise
+    is drawn ``block`` steps at a time into one buffer of at most 2**22
+    doubles (32 MB); each generator's stream does not depend on the
+    blocking.
 
     Every state is checked before ``on_step`` sees it: one sum, and a
     search of the rows only when that sum is not finite (a sum of finite
     entries may overflow). The first non-finite row raises
     :class:`DivergenceError`.
     """
-    n_rows, dim = state.x.shape[0], step.noise_dim
-    block = max(1, min(block, (1 << 22) // max(1, n_rows * dim)))
-    if len(rngs) == 1:
-        def draw(nb):
-            return np.broadcast_to(rngs[0].standard_normal((nb, 1, dim)), (nb, n_rows, dim))
-    else:
-        buffer = np.empty((min(block, n_steps), n_rows, dim))
+    rows, dim = state.x.shape[:-1], step.noise_dim
+    rngs = np.asarray(rngs, dtype=object)
+    streams = rngs.ravel()
+    block = max(1, min(block, (1 << 22) // max(1, streams.size * dim)))
+    buffer = np.empty((min(block, n_steps), streams.size, dim))
+    # the draws' shape with unit axes for the rows the generators do not span
+    drawn = (1,) * (len(rows) - rngs.ndim) + rngs.shape + (dim,)
 
-        def draw(nb):
-            for i, r in enumerate(rngs):
-                buffer[:nb, i, :] = r.standard_normal((nb, dim))
-            return buffer[:nb]
+    def draw(nb):
+        for i, r in enumerate(streams):
+            buffer[:nb, i, :] = r.standard_normal((nb, dim))
+        return np.broadcast_to(buffer[:nb].reshape((nb,) + drawn), (nb,) + rows + (dim,))
 
     def visit(n: int, s: ChainState) -> None:
         if not np.isfinite(s.x.sum() + s.y.sum()):
-            bad = ~(np.isfinite(s.x).all(axis=1) & np.isfinite(s.y).all(axis=1))
+            bad = ~(np.isfinite(s.x).all(axis=-1) & np.isfinite(s.y).all(axis=-1))
             if bad.any():
-                raise DivergenceError(int(bad.argmax()), n)
+                *point, chain = (int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
+                raise DivergenceError(chain, n, *point)
         on_step(n, s)
 
     visit(0, state)
@@ -438,9 +494,55 @@ def _drive(
             visit(n, state)
 
 
+def _prepare_ensemble(
+    target: TargetSpec,
+    params: Params,
+    n_chains: int,
+    n_steps: int,
+    burn_in: int,
+    thinning: int,
+    kind: str,
+    init,
+) -> tuple[Kernel, ChainState, np.ndarray, range]:
+    """Check an ensemble run's arguments and build what :func:`_drive`
+    needs: the kernel, the initial state, the chain streams, and the kept
+    steps (the initial state when there is no burn-in, then every
+    thinning-th step; the final state when that is none).
+
+    Point j's chain i draws from the stream keyed by (seed_j, i). Points
+    that all have one seed share one generator per chain, whose draws are
+    broadcast over the points; otherwise every point gets its own.
+    """
+    if n_chains < 1:
+        raise ValueError("n_chains must be >= 1")
+    if n_steps < 0 or burn_in < 0:
+        raise ValueError(f"n_steps and burn_in must be >= 0, got {n_steps} and {burn_in}")
+    if thinning < 1:
+        raise ValueError("thinning must be >= 1")
+    points = _points(params)
+    for p in points:
+        validate_params(target, p)
+    step = make_step(kind, target, params)
+    d, m = target.dim_primal, target.dim_dual
+    batch = () if isinstance(params, SamplerParams) else (len(points),)
+    if len({p.seed for p in points}) == 1:
+        rngs = _chain_rngs(points[0].seed, n_chains)
+    else:
+        rngs = np.stack([_chain_rngs(p.seed, n_chains) for p in points])
+    inits = [_resolve_init(init, n_chains, d, m, r) for r in rngs.reshape(-1, n_chains)]
+    if batch:  # one init per point, drawn once from each distinct stream set
+        inits *= len(points) // len(inits)
+        X, Y = (np.stack(a) for a in zip(*inits))
+    else:
+        (X, Y), = inits
+    kept_steps = range(burn_in + thinning if burn_in else 0, n_steps + 1, thinning)
+    kept_steps = kept_steps or range(n_steps, n_steps + 1)
+    return step, _initial_state(target, batch + (n_chains,), X, Y), rngs, kept_steps
+
+
 def run_ensemble(
     target: TargetSpec,
-    params: SamplerParams,
+    params: Params,
     n_chains: int,
     n_steps: int,
     burn_in: int = 0,
@@ -450,7 +552,7 @@ def run_ensemble(
     checkpoints: Optional[Sequence[int]] = None,
     on_checkpoint: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
     noise_block: int = 256,
-) -> SampleStore:
+):
     """Run ``n_chains`` independent chains and collect thinned samples.
 
     Each chain owns a counter-based RNG stream derived from
@@ -464,43 +566,35 @@ def run_ensemble(
     Optional checkpoints invoke a callback with the current (X, Y) ensemble
     arrays at selected step counts; the sampler never writes into arrays it
     has handed out.
-    """
-    if n_chains < 1:
-        raise ValueError("n_chains must be >= 1")
-    if n_steps < 0 or burn_in < 0:
-        raise ValueError(f"n_steps and burn_in must be >= 0, got {n_steps} and {burn_in}")
-    if thinning < 1:
-        raise ValueError("thinning must be >= 1")
-    validate_params(target, params)
-    step = make_step(kind, target, params)
-    d, m = target.dim_primal, target.dim_dual
 
-    rngs = _chain_rngs(params.seed, n_chains)
-    # the initial state when there is no burn-in, then every thinning-th
-    # step; the final state when that is none
-    kept_steps = range(burn_in + thinning if burn_in else 0, n_steps + 1, thinning)
-    kept_steps = kept_steps or range(n_steps, n_steps + 1)
-    xs = np.empty((len(kept_steps), n_chains, d))
-    ys = np.empty((len(kept_steps), n_chains, m))
+    With a sequence of P :class:`SamplerParams` (say, the points of a
+    sweep) all P ensembles advance as one batched run (see
+    :func:`make_step`) and a list of P stores comes back, each
+    bit-identical to a run of its point alone: point j's chain i keeps the
+    stream (seed_j, i), and points sharing one seed draw each stream once
+    for all of them. ``validate_params`` runs on every point. Every point
+    starts from the same ``init`` (explicit arrays keep the shapes
+    (n_chains, d) and (n_chains, m)); checkpoint arrays have shape
+    (P, n_chains, dim).
+    """
+    step, state, rngs, kept_steps = _prepare_ensemble(
+        target, params, n_chains, n_steps, burn_in, thinning, kind, init
+    )
+    batch = state.x.shape[:-2]
+    xs = np.empty(batch + (len(kept_steps), n_chains, target.dim_primal))
+    ys = np.empty(batch + (len(kept_steps), n_chains, target.dim_dual))
     # a checkpoint counts steps taken, so step 0 is none
     checkpoint_set = set(checkpoints or ()) - {0} if on_checkpoint is not None else set()
 
     def keep(n: int, s: ChainState) -> None:
         if n in kept_steps:
             i = kept_steps.index(n)
-            xs[i], ys[i] = s.x, s.y
+            xs[..., i, :, :], ys[..., i, :, :] = s.x, s.y
         if n in checkpoint_set:
             on_checkpoint(n, s.x, s.y)
 
-    X, Y = _resolve_init(init, n_chains, d, m, rngs)
-    _drive(step, _initial_state(target, n_chains, X, Y), rngs, n_steps, keep, noise_block)
-    return SampleStore(
-        xs=xs,
-        ys=ys,
-        params=params,
-        kind=kind,
-        n_chains=n_chains,
-        n_steps=n_steps,
-        burn_in=burn_in,
-        thinning=thinning,
-    )
+    _drive(step, state, rngs, n_steps, keep, noise_block)
+    run = dict(kind=kind, n_chains=n_chains, n_steps=n_steps, burn_in=burn_in, thinning=thinning)
+    if isinstance(params, SamplerParams):
+        return SampleStore(xs=xs, ys=ys, params=params, **run)
+    return [SampleStore(xs=xs[j], ys=ys[j], params=p, **run) for j, p in enumerate(_points(params))]

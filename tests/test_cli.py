@@ -4,7 +4,9 @@ import csv
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,11 +16,13 @@ import pytest
 from pdlangevin.cli import (
     ConfigError,
     ImageGrid,
+    _content_hash,
     add_gaussian_noise,
     gauss1d_stepsizes,
     load_image_pgm,
     main,
     parse_config,
+    parse_pgm,
     run_scenario,
     save_image_pgm,
     synthetic_phantom,
@@ -261,6 +265,20 @@ class TestMainExitCodes:
         assert code == 2
         assert f"config error: {override.split('=')[0]} must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, field", [
+        (["run", "scenario=tv2pixel", "n_checkpoints=0"], "n_checkpoints"),
+        (["validate", "scenario=gauss1d", "c_f=0"], "c_f"),
+        (["run", "scenario=gauss1d", "k=0"], "k"),
+        (["run", "scenario=tv2pixel", "ref_samples=0"], "ref_samples"),
+    ], ids=["n_checkpoints", "c_f", "k", "ref_samples"])
+    def test_model_and_reference_fields_are_config_errors(self, args, field, tmp_path, capsys):
+        # each used to fail while running: a ZeroDivisionError traceback
+        # (exit 1) or a model check reported as a regime violation (exit 3)
+        code = main([*args, "n_chains=2", "n_steps=10", f"output_dir={tmp_path}/out"])
+        assert code == 2
+        assert f"config error: {field} must" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_diverging_chain(self, tmp_path, capsys):
         # ula at tau = 3 multiplies the primal by -7.25 per step
         with np.errstate(over="ignore", invalid="ignore"):
@@ -370,6 +388,40 @@ class TestValidateMatchesRun:
         assert main(["validate", *ov]) == 2
         assert main(["run", *ov, "n_chains=2", "n_steps=5", f"output_dir={tmp_path}/out"]) == 2
         assert "h_grad" in capsys.readouterr().err
+
+
+class TestInputImageIsReadOnce:
+    def test_manifest_hashes_the_parsed_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "in.pgm"
+        save_image_pgm(path, synthetic_phantom(6, 5))
+        raw = path.read_bytes()
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counting_read(self):
+            reads.append(self)
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read)
+        cfg = parse_config(None, overrides=[
+            "scenario=tv_image", f"input_image={path}", "n_chains=2", "n_steps=3",
+            f"output_dir={tmp_path}/out",
+        ])
+        run_scenario(cfg)
+        assert reads == [path]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["content_hash"] == _content_hash(cfg, raw)
+        np.testing.assert_array_equal(parse_pgm(raw).intensities, load_image_pgm(path).intensities)
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy costs every CLI process about 0.6 s and 45 MB; only w2_exact needs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, pdlangevin.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestBenchContract:

@@ -8,10 +8,13 @@ import pytest
 from pdlangevin.analytic import GaussModel1D, stationary_cov_pd, target_variance
 from pdlangevin.coupling import (
     CouplingTrace,
+    _stationary_flag,
+    _w2_to_reference,
     fit_contraction_rate,
     run_coupled_pair,
     sweep,
 )
+from pdlangevin.metrics import EmpiricalMeasure
 from pdlangevin.models import gauss1d_target, tv2pixel_target
 from pdlangevin.samplers import DivergenceError, SamplerParams, run_ensemble
 
@@ -229,6 +232,39 @@ class TestLambdaSweep:
         )
         pts = result.points
         assert len(pts) == 2 and pts[0][0] == 1.0
+
+
+class TestSweepIsBatched:
+    """One batched run gives each point the statistics of its own run."""
+
+    @pytest.mark.parametrize("case", ["lambda", "tau", "empirical_1d", "tv2pixel"])
+    def test_matches_per_point_runs(self, case):
+        target = gauss1d_target(BENCH)
+        ref = (0.0, target_variance(BENCH))
+        if case == "lambda":
+            values, params_for = [1.0, 10.0, 100.0], _lambda_params(0.01, seed=7)
+        elif case == "tau":
+            values, params_for = [4e-3, 2e-3, 1e-3], _tau_params(10.0, seed=5)
+        elif case == "empirical_1d":
+            values, params_for = [1.0, 10.0], _lambda_params(0.01, seed=3)
+            ref = EmpiricalMeasure(np.random.default_rng(0).normal(0.0, 1.2, 4000))
+        else:  # exact assignment over batches of 2D clouds
+            target = tv2pixel_target(np.array([0.0, 1.0]), 0.5, 3.0)
+            values, params_for = [1.0, 10.0], _lambda_params(0.01, seed=2)
+            ref = EmpiricalMeasure(np.random.default_rng(0).normal(0.5, 0.4, (600, 2)))
+        run = dict(n_chains=40, n_steps=600, burn_in=200, thinning=2)
+        result = sweep(target, values, params_for, ref, **run)
+        for value, w2, flag in zip(values, result.w2, result.stationary):
+            store = run_ensemble(target, params_for(value), **run)
+            assert w2 == _w2_to_reference(store.x_samples, ref)
+            assert flag == _stationary_flag(store.xs)
+
+    def test_diverging_point_is_named(self):
+        target = gauss1d_target(BENCH)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="of point 1 diverged"):
+                sweep(target, [1e-2, 3.0], _tau_params(0.01), (0.0, 1.0), n_chains=4,
+                      n_steps=2000, burn_in=0, kind="ula")
 
 
 class TestDualConcentration:

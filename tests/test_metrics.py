@@ -10,6 +10,7 @@ from pdlangevin.metrics import (
     WeightedNorm,
     moments,
     pixelwise_variance,
+    _sq_dist_matrix,
     psnr,
     w2_1d,
     w2_exact,
@@ -108,6 +109,19 @@ class TestW2Exact:
         got = w2_exact(mu, nu, norm=norm)
         dual_only = w2_exact(EmpiricalMeasure(dual_a), EmpiricalMeasure(dual_b))
         assert got == pytest.approx(math.sqrt(1.0 / lam) * dual_only, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cost_matches_the_broadcast_formula(self, d):
+        # the in-place build keeps every bit of the (n, n, d) broadcast sum,
+        # signs of zero included
+        rng = np.random.default_rng(d)
+        P, Q = rng.standard_normal((300, d)), rng.standard_normal((200, d))
+        P[:3], Q[:2] = 0.0, -0.0
+        P[5, 0] = Q[7, 0]
+        want = np.sum((P[:, None, :] - Q[None, :, :]) ** 2, axis=-1)
+        got = _sq_dist_matrix(P, Q)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_weighted_norm_validation(self):
         with pytest.raises(ValueError):

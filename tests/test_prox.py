@@ -35,6 +35,17 @@ class TestScaledSquare:
     def test_factory_modulus(self):
         assert scaled_square_prox(2.0).modulus == 0.5
 
+    def test_column_gamma(self):
+        # a batched run passes one step size per point as a (P, 1, 1) column
+        v = np.random.default_rng(0).standard_normal((3, 4, 2))
+        gammas = [0.5, 1e-3, 0.0]
+        prox = scaled_square_prox(2.0)
+        got = prox.eval(v, np.array(gammas).reshape(-1, 1, 1))
+        for j, gamma in enumerate(gammas):
+            np.testing.assert_array_equal(got[j], prox.eval(v[j], gamma))
+        with pytest.raises(ValueError, match="nonnegative"):
+            prox.eval(v, np.array([0.5, -1e-3, 0.0]).reshape(-1, 1, 1))
+
 
 class TestQuadraticData:
     def test_formula(self):
@@ -54,6 +65,14 @@ class TestQuadraticData:
         v = np.zeros((5, 2))
         got = quadratic_data_prox(target, 1.0).eval(v, 1.0)
         assert got.shape == (5, 2)
+
+    def test_column_gamma(self):
+        v = np.random.default_rng(1).standard_normal((3, 4, 2))
+        gammas = [0.5, 1e-3, 2.0]
+        prox = quadratic_data_prox(np.array([1.0, -2.0]), 0.25)
+        got = prox.eval(v, np.array(gammas).reshape(-1, 1, 1))
+        for j, gamma in enumerate(gammas):
+            np.testing.assert_array_equal(got[j], prox.eval(v[j], gamma))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

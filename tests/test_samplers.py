@@ -524,3 +524,120 @@ class TestDrive:
                                  n_chains=3, n_steps=2, init=(X, Y))
         assert np.all(np.abs(store.xs) > 1e307) and np.all(np.abs(store.ys) > 1e307)
         np.testing.assert_array_equal(store.xs[0], X)
+
+
+# three points with mixed tau, lambda and theta; the gauss1d contract
+# theta * tau * sigma * L^2 <= 1 holds at each
+_POINTS = [(1e-2, 1.0, 1.0), (3e-3, 10.0, 0.9), (2e-2, 0.5, 1.0)]
+
+
+def _batch(variant="outer", seeds=(3, 3, 3), points=_POINTS):
+    return [SamplerParams(tau=tau, lam=lam, theta=theta, noise_variant=variant, seed=seed)
+            for (tau, lam, theta), seed in zip(points, seeds)]
+
+
+class TestBatchedEnsemble:
+    """A sequence of SamplerParams runs every point in one batched ensemble,
+    each point bit-identical to a run of its own."""
+
+    @pytest.mark.parametrize("seeds", [(3, 3, 3), (3, 4, 5)], ids=["shared", "distinct"])
+    @pytest.mark.parametrize("kind, variant", [
+        ("ulpda", "outer"), ("ulpda", "inner"), ("ula", "outer"), ("prox_sub", "outer"),
+        ("modified_sde", "outer"),
+    ])
+    def test_matches_separate_runs_on_gauss1d(self, kind, variant, seeds):
+        target = gauss1d_target(BENCH)
+        run = functools.partial(run_ensemble, target, n_chains=5, n_steps=60, burn_in=10,
+                                thinning=3, kind=kind, init=("gaussian", 1.0))
+        batch = _batch(variant, seeds)
+        stores = run(batch)
+        assert len(stores) == len(batch)
+        for p, store in zip(batch, stores):
+            alone = run(p)
+            assert store.params is p and store.xs.shape == alone.xs.shape
+            np.testing.assert_array_equal(store.xs, alone.xs)
+            np.testing.assert_array_equal(store.ys, alone.ys)
+
+    @pytest.mark.parametrize("seeds", [(1, 1, 1), (1, 1, 2)], ids=["shared", "distinct"])
+    def test_matches_separate_runs_on_tv2pixel(self, seeds):
+        target = tv2pixel_target(np.array([0.0, 1.0]), 0.5, 3.0)
+        batch = _batch(seeds=seeds, points=[(0.015, 100.0, 1.0), (0.01, 10.0, 1.0),
+                                            (0.005, 1.0, 1.0)])
+        for p, store in zip(batch, run_ensemble(target, batch, n_chains=7, n_steps=80)):
+            alone = run_ensemble(target, p, n_chains=7, n_steps=80)
+            np.testing.assert_array_equal(store.xs, alone.xs)
+            np.testing.assert_array_equal(store.ys, alone.ys)
+
+    def test_one_point_batch_is_a_list_of_one(self):
+        target = gauss1d_target(BENCH)
+        p = SamplerParams(tau=1e-2, lam=1.0, seed=2)
+        (store,) = run_ensemble(target, [p], n_chains=3, n_steps=20)
+        np.testing.assert_array_equal(store.xs, run_ensemble(target, p, n_chains=3, n_steps=20).xs)
+
+    def test_blocking_and_prefix_invariance(self):
+        target = gauss1d_target(BENCH)
+        for seeds in [(9, 9, 9), (9, 8, 7)]:
+            batch = _batch(seeds=seeds)
+            a = run_ensemble(target, batch, n_chains=3, n_steps=40, noise_block=7)
+            b = run_ensemble(target, batch, n_chains=3, n_steps=40, noise_block=1000)
+            big = run_ensemble(target, batch, n_chains=5, n_steps=40)
+            for sa, sb, sbig in zip(a, b, big):
+                np.testing.assert_array_equal(sa.xs, sb.xs)
+                np.testing.assert_array_equal(sa.xs, sbig.xs[:, :3, :])
+                np.testing.assert_array_equal(sa.ys, sbig.ys[:, :3, :])
+
+    def test_checkpoints_see_every_point(self):
+        target = gauss1d_target(BENCH)
+        batch = _batch()
+        seen = {}
+        stores = run_ensemble(target, batch, n_chains=4, n_steps=10, checkpoints=[10],
+                              on_checkpoint=lambda n, X, Y: seen.update({n: (X.copy(), Y.copy())}))
+        X, Y = seen[10]
+        assert X.shape == (3, 4, 1) and Y.shape == (3, 4, 1)
+        for j, store in enumerate(stores):
+            np.testing.assert_array_equal(X[j], store.final_x)
+            np.testing.assert_array_equal(Y[j], store.final_y)
+
+    def test_diverging_point_is_named(self):
+        # every point starts from _diverging_init's chains; only point 1's
+        # tau = 3 makes chain 2's primal of 1e300 overflow, while the other
+        # points shrink it
+        target = gauss1d_target(BENCH)
+        batch = [SamplerParams(tau=1e-2, lam=1.0), SamplerParams(tau=3.0, lam=0.01),
+                 SamplerParams(tau=2e-2, lam=0.5)]
+        run = functools.partial(run_ensemble, target, n_chains=4, n_steps=100, kind="ula",
+                                init=_diverging_init("ula"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as caught:
+                run(batch)
+            with pytest.raises(DivergenceError) as alone:
+                run(batch[1])
+        err = caught.value
+        assert (err.point, err.chain, err.step) == (1, 2, alone.value.step)
+        assert str(err) == f"chain 2 of point 1 diverged: non-finite state at step {err.step}"
+        assert alone.value.point is None
+
+    def test_points_must_share_the_noise_variant_and_blocks(self):
+        target = gauss1d_target(BENCH)
+        mixed = [SamplerParams(tau=1e-2, lam=1.0), SamplerParams(tau=1e-2, lam=1.0,
+                                                                  noise_variant="inner")]
+        with pytest.raises(ValueError, match="share the noise variant"):
+            run_ensemble(target, mixed, n_chains=2, n_steps=5)
+        with pytest.raises(ValueError, match="share the noise variant"):
+            make_step("ulpda", target, mixed)
+        B_X, B_Y = np.array([[math.sqrt(2.0), 0.0]]), np.zeros((1, 2))
+        general = [SamplerParams(tau=1e-2, lam=1.0, noise_variant="general", B_X=B_X, B_Y=B_Y),
+                   SamplerParams(tau=2e-2, lam=1.0, noise_variant="general", B_X=2 * B_X, B_Y=B_Y)]
+        with pytest.raises(ValueError, match="share the noise variant"):
+            make_step("ulpda", target, general)
+        general[1] = SamplerParams(tau=2e-2, lam=1.0, noise_variant="general", B_X=B_X.copy(),
+                                   B_Y=B_Y)
+        assert make_step("ulpda", target, general).noise_dim == 2
+        with pytest.raises(ValueError, match="at least one"):
+            make_step("ulpda", target, [])
+
+    def test_every_point_is_validated_before_stepping(self):
+        target = gauss1d_target(BENCH)
+        batch = [SamplerParams(tau=1e-2, lam=1.0), SamplerParams(tau=1.0, lam=1.0)]
+        with pytest.raises(ValueError, match="diverge"):
+            run_ensemble(target, batch, n_chains=1, n_steps=10)
