@@ -34,6 +34,7 @@ from .samplers import (
     SamplerParams,
     TargetSpec,
     ValidationReport,
+    _kept_steps,
     make_step,
     run_ensemble,
     validate_params,
@@ -218,6 +219,12 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.burn_in < 0:
             raise ConfigError("burn_in must be nonnegative")
+        kept = len(_kept_steps(self.n_steps, self.burn_in, self.thinning))
+        if self.n_chains * kept < 2:
+            raise ConfigError(
+                f"n_chains * kept steps must be >= 2 for a variance, got "
+                f"{self.n_chains} * {kept}: add chains or lower burn_in"
+            )
 
 
 _CONFIG_TYPES = {f.name: f.type for f in dc_fields(ScenarioConfig)}

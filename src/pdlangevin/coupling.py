@@ -129,7 +129,7 @@ class SweepResult:
         return list(zip(self.values.tolist(), self.w2.tolist()))
 
     def loglog_slope(self) -> float:
-        if np.any(self.w2 <= 0) or np.any(self.values <= 0):
+        if self.values.size < 2 or np.any(self.w2 <= 0) or np.any(self.values <= 0):
             return math.nan
         return float(np.polyfit(np.log(self.values), np.log(self.w2), 1)[0])
 

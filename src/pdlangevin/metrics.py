@@ -132,17 +132,44 @@ def moments(mu: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
+# doubles of squared deviations that pixelwise_variance holds at a time
+_VARIANCE_CHUNK = 1 << 16
+
+
 def pixelwise_variance(samples) -> np.ndarray:
     """Unbiased per-coordinate variance over a sample cloud.
 
     Accepts an (n, d) array or any object exposing ``x_samples`` with that
     shape (e.g. an ensemble sample store); returns a length-d vector.
+
+    The result is ``pts.var(axis=0, ddof=1)`` bit for bit, without its
+    (n, d) temporary of deviations: numpy sums the squared deviations of a
+    cloud with contiguous rows and d > 1 row after row, in sample order, so
+    they are formed a few rows at a time and added to a running total that
+    leads each chunk. Any other layout goes to numpy, which may sum it down
+    the sample axis pairwise.
     """
     pts = getattr(samples, "x_samples", samples)
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("need an (n >= 2, d) sample array")
-    return pts.var(axis=0, ddof=1)
+    n, d = pts.shape
+    if d == 1 or not pts[0].flags.c_contiguous:
+        return pts.var(axis=0, ddof=1)
+    mean = pts.sum(axis=0)
+    mean /= n
+    rows = max(1, _VARIANCE_CHUNK // d)
+    chunk = np.empty((min(rows, n) + 1, d))
+    chunk[0] = 0.0
+    for start in range(0, n, rows):
+        part = pts[start : start + rows]
+        sq = chunk[1 : len(part) + 1]
+        np.subtract(part, mean, out=sq)
+        np.square(sq, out=sq)
+        chunk[0] = chunk[: len(part) + 1].sum(axis=0)
+    total = chunk[0]
+    total /= n - 1
+    return total
 
 
 def psnr(reference: np.ndarray, estimate: np.ndarray, peak: float = 1.0) -> float:

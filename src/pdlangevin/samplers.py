@@ -433,6 +433,15 @@ def _initial_state(target: TargetSpec, rows: tuple[int, ...], X, Y) -> ChainStat
     return state
 
 
+# Noise buffers hold at most this many doubles (32 MB) per run.
+_NOISE_CAP = 1 << 22
+# Normals per generator call from which _drive draws on a worker thread.
+# The fill releases the GIL; below this the GIL hand-offs between the
+# threads cost more than the overlap saves (at 256 normals per call, a
+# 64-chain gauss1d sweep ran 16-23% slower threaded).
+_PIPELINE_MIN_DRAW = 4096
+
+
 def _drive(
     step: Kernel,
     state: ChainState,
@@ -445,7 +454,7 @@ def _drive(
     steps, calling ``on_step(n, state)`` on the state after n steps, for
     n = 0 to ``n_steps``. Callers keep what they need inside the hook, not
     the states: a state returned to the caller would be freed after the
-    noise buffer, and glibc's heap-trim threshold rises when a buffer that
+    noise buffers, and glibc's heap-trim threshold rises when a buffer that
     size is unmapped, so the heap that held the states would stay mapped
     (peak RSS 381 -> 422 MB on 128x128 TV with 24 chains).
 
@@ -454,10 +463,22 @@ def _drive(
     broadcasts to the rows: one per row, one per chain that every point
     shares, or a single one whose draws every row shares (coupled chains).
     Each generator draws once per step and ``np.broadcast_to`` hands its
-    draw to every row it serves; kernels never write into the noise. Noise
-    is drawn ``block`` steps at a time into one buffer of at most 2**22
-    doubles (32 MB); each generator's stream does not depend on the
-    blocking.
+    draw to every row it serves. Noise is drawn ``block`` steps at a time,
+    in at most 2**22 doubles (32 MB) of buffers; each generator's stream
+    does not depend on the blocking.
+
+    When each generator call draws at least ``_PIPELINE_MIN_DRAW`` normals
+    and the run takes more than one block, the cap is split into two
+    buffers: one worker thread fills block b + 1 into the idle buffer while
+    the kernel steps through block b, and the loop waits for that fill
+    before it starts block b + 1 (the fill releases the GIL). Otherwise one
+    full-cap buffer is filled inline, before each block. Either way, during
+    the run only one thread at a time touches the generators, in the same
+    order, so every stream and every state is the same bit for bit. This
+    holds because kernels never write into ``xi`` and never return a view
+    of it: a state that kept one would change under the next fill. A fill
+    that raises re-raises here unchanged, and the worker has exited when
+    ``_drive`` returns or raises.
 
     Every state is checked before ``on_step`` sees it: one sum, and a
     search of the rows only when that sum is not finite (a sum of finite
@@ -467,12 +488,19 @@ def _drive(
     rows, dim = state.x.shape[:-1], step.noise_dim
     rngs = np.asarray(rngs, dtype=object)
     streams = rngs.ravel()
-    block = max(1, min(block, (1 << 22) // max(1, streams.size * dim)))
-    buffer = np.empty((min(block, n_steps), streams.size, dim))
+    per_step = max(1, streams.size * dim)
+    half = max(1, min(block, (_NOISE_CAP // 2) // per_step))
+    pipelined = half < n_steps and half * dim >= _PIPELINE_MIN_DRAW
+    block = half if pipelined else max(1, min(block, _NOISE_CAP // per_step))
+    buffers = [np.empty((min(block, n_steps), streams.size, dim)) for _ in range(1 + pipelined)]
     # the draws' shape with unit axes for the rows the generators do not span
     drawn = (1,) * (len(rows) - rngs.ndim) + rngs.shape + (dim,)
+    starts = range(0, n_steps, block)
 
-    def draw(nb):
+    def fill(k: int) -> np.ndarray:
+        """Block k's draws, in buffer k mod 2: never the buffer of block
+        k - 1, which the kernel may still be reading."""
+        buffer, nb = buffers[k % len(buffers)], min(block, n_steps - starts[k])
         for i, r in enumerate(streams):
             buffer[:nb, i, :] = r.standard_normal((nb, dim))
         return np.broadcast_to(buffer[:nb].reshape((nb,) + drawn), (nb,) + rows + (dim,))
@@ -486,12 +514,33 @@ def _drive(
         on_step(n, s)
 
     visit(0, state)
-    n = 0
-    while n < n_steps:
-        for xi in draw(min(block, n_steps - n)):
-            state = step(state, xi)
-            n += 1
-            visit(n, state)
+    worker = None
+    if pipelined:  # imported here: it costs the inline runs 0.6 MB of RSS
+        from concurrent.futures import ThreadPoolExecutor
+
+        worker = ThreadPoolExecutor(max_workers=1)
+    try:
+        ahead = worker.submit(fill, 0) if worker else None
+        n = 0
+        for k in range(len(starts)):
+            xi = ahead.result() if worker else fill(k)
+            if worker and k + 1 < len(starts):
+                ahead = worker.submit(fill, k + 1)
+            for x in xi:
+                state = step(state, x)
+                n += 1
+                visit(n, state)
+    finally:
+        if worker:  # waits for a fill still running
+            worker.shutdown()
+
+
+def _kept_steps(n_steps: int, burn_in: int, thinning: int) -> range:
+    """The step counts whose states an ensemble run keeps: the initial
+    state when there is no burn-in, then every ``thinning``-th step after
+    ``burn_in``; the final state when that is none."""
+    kept = range(burn_in + thinning if burn_in else 0, n_steps + 1, thinning)
+    return kept or range(n_steps, n_steps + 1)
 
 
 def _prepare_ensemble(
@@ -506,8 +555,7 @@ def _prepare_ensemble(
 ) -> tuple[Kernel, ChainState, np.ndarray, range]:
     """Check an ensemble run's arguments and build what :func:`_drive`
     needs: the kernel, the initial state, the chain streams, and the kept
-    steps (the initial state when there is no burn-in, then every
-    thinning-th step; the final state when that is none).
+    steps (see :func:`_kept_steps`).
 
     Point j's chain i draws from the stream keyed by (seed_j, i). Points
     that all have one seed share one generator per chain, whose draws are
@@ -535,9 +583,8 @@ def _prepare_ensemble(
         X, Y = (np.stack(a) for a in zip(*inits))
     else:
         (X, Y), = inits
-    kept_steps = range(burn_in + thinning if burn_in else 0, n_steps + 1, thinning)
-    kept_steps = kept_steps or range(n_steps, n_steps + 1)
-    return step, _initial_state(target, batch + (n_chains,), X, Y), rngs, kept_steps
+    return (step, _initial_state(target, batch + (n_chains,), X, Y), rngs,
+            _kept_steps(n_steps, burn_in, thinning))
 
 
 def run_ensemble(
@@ -561,8 +608,13 @@ def run_ensemble(
     after ``burn_in`` (plus the initial state when ``burn_in`` is 0; the
     final state when nothing else is kept), in arrays of shape
     (n_kept, n_chains, dim) allocated before the first step. Noise is drawn
-    ``noise_block`` steps at a time into one reused buffer of at most 2**22
-    doubles (32 MB); fewer steps per block when the ensemble is large.
+    ``noise_block`` steps at a time into reused buffers of at most 2**22
+    doubles (32 MB) in all; fewer steps per block when the ensemble is
+    large. Large draws are pipelined: two half-cap buffers, one filled on a
+    worker thread while the chains step through the other, whenever each
+    generator call draws at least 4096 normals and the run takes more than
+    one block (see ``_drive``). The chains are the same bit for bit either
+    way.
     Optional checkpoints invoke a callback with the current (X, Y) ensemble
     arrays at selected step counts; the sampler never writes into arrays it
     has handed out.

@@ -279,6 +279,19 @@ class TestMainExitCodes:
         assert f"config error: {field} must" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["scenario=gauss1d", "n_chains=1", "n_steps=10", "burn_in=10"],
+        ["scenario=tv2pixel", "n_chains=1", "n_steps=10", "burn_in=10", "ref_samples=1"],
+        ["scenario=tv_image", "width=4", "height=4", "n_chains=1", "n_steps=3", "burn_in=3"],
+    ], ids=["gauss1d", "tv2pixel", "tv_image"])
+    def test_fewer_than_two_kept_samples_is_a_config_error(self, args, tmp_path, capsys):
+        # one chain that keeps only its final state leaves no variance to
+        # estimate; the run used to fail after sampling, as a regime violation
+        for command in ("run", "validate"):
+            assert main([command, *args, f"output_dir={tmp_path}/out"]) == 2
+            assert "config error: n_chains * kept steps must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_diverging_chain(self, tmp_path, capsys):
         # ula at tau = 3 multiplies the primal by -7.25 per step
         with np.errstate(over="ignore", invalid="ignore"):
@@ -323,6 +336,15 @@ class TestMainExitCodes:
         ])
         assert code == 0
         assert (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_one_point_sweep_has_no_slope(self, tmp_path):
+        # a line through one point used to end in an SVD failure, exit 3
+        code = main(["sweep", "sweep_values=1", "n_chains=2", "n_steps=10", "burn_in=5",
+                     f"output_dir={tmp_path}/out"])
+        assert code == 0
+        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and math.isnan(float(rows[0]["loglog_slope"]))
 
 
 class TestSweepOrdering:

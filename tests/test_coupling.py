@@ -8,6 +8,7 @@ import pytest
 from pdlangevin.analytic import GaussModel1D, stationary_cov_pd, target_variance
 from pdlangevin.coupling import (
     CouplingTrace,
+    SweepResult,
     _stationary_flag,
     _w2_to_reference,
     fit_contraction_rate,
@@ -211,6 +212,17 @@ class TestBiasSweepTau:
             n_chains=200, n_steps=400, burn_in=0,
         )
         assert not result.stationary[0]
+
+
+class TestSweepResult:
+    def test_slope_needs_two_positive_points(self):
+        one = SweepResult(values=np.array([1.0]), w2=np.array([0.2]), stationary=np.array([True]))
+        assert math.isnan(one.loglog_slope())
+        two = SweepResult(values=np.array([1.0, 10.0]), w2=np.array([0.2, 0.02]),
+                          stationary=np.array([True, True]))
+        assert two.loglog_slope() == pytest.approx(-1.0)
+        two.w2[1] = 0.0
+        assert math.isnan(two.loglog_slope())
 
 
 class TestLambdaSweep:

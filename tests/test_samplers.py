@@ -2,6 +2,9 @@
 
 import functools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,8 @@ from pdlangevin.samplers import (
     DivergenceError,
     SamplerParams,
     TargetSpec,
+    _PIPELINE_MIN_DRAW,
+    _drive,
     make_step,
     run_ensemble,
     validate_params,
@@ -641,3 +646,126 @@ class TestBatchedEnsemble:
         batch = [SamplerParams(tau=1e-2, lam=1.0), SamplerParams(tau=1.0, lam=1.0)]
         with pytest.raises(ValueError, match="diverge"):
             run_ensemble(target, batch, n_chains=1, n_steps=10)
+
+
+def _adding_kernel(dim, pause=0.0, nan_at=None):
+    """x += xi on (rows, dim) states, checking that xi holds still for the
+    whole step even when the step pauses; ``nan_at`` makes the state
+    non-finite at that step."""
+    changed = []
+
+    def step(state, xi):
+        seen = xi.copy()
+        time.sleep(pause)
+        if not np.array_equal(xi, seen):
+            changed.append(state.n + 1)
+        x = state.x + xi
+        if state.n + 1 == nan_at:
+            x[0, 0] = np.nan
+        return ChainState(x=x, y=state.y, x_prev=state.x, n=state.n + 1)
+
+    step.noise_dim = dim
+    return step, changed
+
+
+def _streams(n, seed=0):
+    return np.array([np.random.Generator(np.random.Philox(seed=np.random.SeedSequence([seed, i])))
+                     for i in range(n)], dtype=object)
+
+
+class _DrawError(RuntimeError):
+    pass
+
+
+class _FailingStream:
+    """A generator stand-in whose draws raise ``error`` from call ``after``
+    on (zero-based)."""
+
+    def __init__(self, after, error):
+        self.calls, self.after, self.error = 0, after, error
+
+    def standard_normal(self, size):
+        self.calls += 1
+        if self.calls > self.after:
+            raise self.error
+        return np.zeros(size)
+
+
+class TestPipelinedNoise:
+    """Large draws are made on a worker thread one block ahead of the
+    kernel; what the chains see must not change."""
+
+    @staticmethod
+    def _tv_run(noise_block, n_chains=3):
+        noisy = np.random.default_rng(0).uniform(0.0, 1.0, 32 * 32)
+        target = tv_image_target(noisy, 0.1, 3.0, 32, 32)
+        threads = []
+        store = run_ensemble(
+            target, SamplerParams(tau=0.003, lam=10.0, seed=5), n_chains=n_chains, n_steps=30,
+            init=("point", noisy, np.zeros(target.dim_dual)), noise_block=noise_block,
+            checkpoints=[15], on_checkpoint=lambda n, X, Y: threads.append(threading.active_count()),
+        )
+        return store, threads[0]
+
+    def test_threaded_and_inline_draws_give_the_same_chains(self):
+        before = threading.active_count()
+        # 1024 normals per step and chain: blocks of 2 steps are drawn inline,
+        # blocks of 7 on the worker; 1000 steps make one block, drawn inline
+        assert 2 * 1024 < _PIPELINE_MIN_DRAW <= 7 * 1024
+        inline, inline_threads = self._tv_run(noise_block=2)
+        threaded, threaded_threads = self._tv_run(noise_block=7)
+        whole, whole_threads = self._tv_run(noise_block=1000)
+        bigger, _ = self._tv_run(noise_block=7, n_chains=5)
+        assert (inline_threads, threaded_threads, whole_threads) == (before, before + 1, before)
+        for store in (threaded, whole):
+            np.testing.assert_array_equal(store.xs, inline.xs)
+            np.testing.assert_array_equal(store.ys, inline.ys)
+        np.testing.assert_array_equal(bigger.xs[:, :3], threaded.xs)
+        np.testing.assert_array_equal(bigger.ys[:, :3], threaded.ys)
+        assert threading.active_count() == before
+
+    def test_noise_holds_still_while_the_kernel_reads_it(self):
+        # the worker fills the next block while a step pauses; it must fill
+        # the other buffer, not the one the step is reading
+        dim = _PIPELINE_MIN_DRAW
+        step, changed = _adding_kernel(dim, pause=2e-3)
+        state = ChainState.initial(np.zeros((2, dim)), np.zeros((2, 1)))
+        finals = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over often
+        try:
+            _drive(step, state, _streams(2), 12, lambda n, s: finals.append(s.x), block=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert changed == []
+        inline, _ = _adding_kernel(dim)
+        expect = []
+        _drive(inline, state, _streams(2), 12, lambda n, s: expect.append(s.x), block=1)
+        np.testing.assert_array_equal(finals[-1], expect[-1])
+
+    def test_a_failing_draw_reaches_the_caller(self):
+        before = threading.active_count()
+        dim = _PIPELINE_MIN_DRAW
+        step, _ = _adding_kernel(dim)
+        error = _DrawError("stream exhausted")
+        streams = np.array([_FailingStream(2, error)], dtype=object)
+        state = ChainState.initial(np.zeros((1, dim)), np.zeros((1, 1)))
+        seen = []
+        with pytest.raises(_DrawError) as caught:
+            _drive(step, state, streams, 10, lambda n, s: seen.append(threading.active_count()),
+                   block=2)
+        assert caught.value is error
+        assert seen[-1] == before + 1 and len(seen) == 5  # blocks 0 and 1 were stepped
+        assert threading.active_count() == before
+
+    def test_divergence_mid_run_stops_the_worker(self):
+        before = threading.active_count()
+        dim = _PIPELINE_MIN_DRAW
+        step, _ = _adding_kernel(dim, nan_at=5)
+        state = ChainState.initial(np.zeros((2, dim)), np.zeros((2, 1)))
+        seen = []
+        with pytest.raises(DivergenceError, match="chain 0 diverged: non-finite state at step 5$"):
+            _drive(step, state, _streams(2), 40, lambda n, s: seen.append(threading.active_count()),
+                   block=2)
+        assert seen[-1] == before + 1
+        assert threading.active_count() == before
