@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .analytic import gaussian_w2
-from .metrics import EmpiricalMeasure, w2_1d, w2_exact
+from .metrics import EmpiricalMeasure, w2_1d, w2_exact, w2_pool
 from .samplers import (
     ChainState,
     SamplerParams,
@@ -154,7 +154,9 @@ def _w2_to_reference(cloud: np.ndarray, reference, batch_cap: int = 2000) -> flo
     ``reference`` is either a (mean, variance) pair — closed-form Gaussian
     distance against the empirical primal moments (1D only) — or an
     :class:`EmpiricalMeasure`, matched by exact assignment over disjoint
-    equal-size batches whose average is returned.
+    equal-size batches whose average is returned. The batches are solved
+    on ``metrics.w2_pool``'s worker threads and averaged in batch order;
+    the closed-form and 1D paths start no thread.
     """
     if isinstance(reference, tuple) and len(reference) == 2 and np.isscalar(reference[0]):
         if cloud.shape[1] != 1:
@@ -170,12 +172,14 @@ def _w2_to_reference(cloud: np.ndarray, reference, batch_cap: int = 2000) -> flo
     perm_a = rng.permutation(cloud.shape[0])
     perm_b = rng.permutation(ref.n)
     n_batches = max(1, min(cloud.shape[0] // n, ref.n // n))
-    vals = []
-    for i in range(n_batches):
+
+    def batch(i: int) -> float:
         mu = EmpiricalMeasure(cloud[perm_a[i * n : (i + 1) * n]])
         nu = EmpiricalMeasure(ref.points[perm_b[i * n : (i + 1) * n]])
-        vals.append(w2_exact(mu, nu, cap=batch_cap))
-    return float(np.mean(vals))
+        return w2_exact(mu, nu, cap=batch_cap)
+
+    with w2_pool(n_batches) as pool:
+        return float(np.mean(list(pool.map(batch, range(n_batches)))))
 
 
 def sweep(

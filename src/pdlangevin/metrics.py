@@ -4,12 +4,15 @@ Provides exact 2-Wasserstein distances between equally weighted empirical
 measures (sorted coupling in 1D, optimal assignment in general), moments,
 per-pixel variance maps, and PSNR. scipy is imported by the one function
 that needs it, ``w2_exact``, so importing this module (and the CLI) does
-not load it.
+not load it; nor does it load ``concurrent.futures``, which only
+``w2_pool`` imports.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,17 +65,29 @@ class WeightedNorm:
         return self.a * np.sum(dx**2, axis=-1) + self.b * np.sum(dy**2, axis=-1)
 
 
+# doubles of temporaries that the chunked builds and reductions hold at a time
+_CHUNK = 1 << 16
+
+
 def _sq_dist_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, built in place one coordinate
     at a time. Summed in coordinate order, they are the bits of
-    ``np.sum((P[:, None] - Q[None]) ** 2, axis=-1)`` without its (n, n, d)
-    temporaries."""
+    ``np.sum((P[:, None] - Q[None]) ** 2, axis=-1)`` without its (n, m, d)
+    temporaries: the cost is the only (n, m) array, and each further
+    coordinate's squares are formed a few rows at a time in a reused
+    chunk of at most ``_CHUNK`` doubles."""
     cost = np.subtract.outer(P[:, 0], Q[:, 0])
     cost *= cost
-    for k in range(1, P.shape[1]):
-        sq = np.subtract.outer(P[:, k], Q[:, k])
-        sq *= sq
-        cost += sq
+    if P.shape[1] > 1:
+        rows = max(1, _CHUNK // Q.shape[0])
+        chunk = np.empty((min(rows, P.shape[0]), Q.shape[0]))
+        for start in range(0, P.shape[0], rows):
+            part = cost[start : start + rows]
+            sq = chunk[: len(part)]
+            for k in range(1, P.shape[1]):
+                np.subtract.outer(P[start : start + rows, k], Q[:, k], out=sq)
+                sq *= sq
+                part += sq
     return cost
 
 
@@ -123,6 +138,31 @@ def w2_exact(
     return float(np.sqrt(cost[rows, cols].mean()))
 
 
+@contextmanager
+def w2_pool(n_solves: int):
+    """A thread pool for up to ``n_solves`` ``w2_exact`` calls that overlap
+    the caller's work and each other: ``pool.submit(w2_exact, mu, nu)``
+    returns a future, and its ``result()`` gives the bits of the same call
+    made inline, or re-raises its exception unchanged.
+
+    scipy's assignment releases the GIL for the whole solve, so the solves
+    run beside the caller. There are min(2, CPUs available, ``n_solves``)
+    workers: two solves in flight hold two (n, n) costs, as much memory as
+    one solve held when the cost build kept a second (n, n) temporary. On
+    every way out of the block, pending solves are cancelled and the
+    workers have exited.
+    """
+    # imported here: it costs the runs that solve no assignment 0.6 MB of RSS
+    from concurrent.futures import ThreadPoolExecutor
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool = ThreadPoolExecutor(max_workers=max(1, min(2, cpus or 1, n_solves)))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def moments(mu: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and unbiased sample covariance of the cloud."""
     if mu.n < 2:
@@ -130,10 +170,6 @@ def moments(mu: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
     mean = mu.points.mean(axis=0)
     cov = np.cov(mu.points, rowvar=False, ddof=1).reshape(mu.dim, mu.dim)
     return mean, cov
-
-
-# doubles of squared deviations that pixelwise_variance holds at a time
-_VARIANCE_CHUNK = 1 << 16
 
 
 def pixelwise_variance(samples) -> np.ndarray:
@@ -158,7 +194,7 @@ def pixelwise_variance(samples) -> np.ndarray:
         return pts.var(axis=0, ddof=1)
     mean = pts.sum(axis=0)
     mean /= n
-    rows = max(1, _VARIANCE_CHUNK // d)
+    rows = max(1, _CHUNK // d)
     chunk = np.empty((min(rows, n) + 1, d))
     chunk[0] = 0.0
     for start in range(0, n, rows):

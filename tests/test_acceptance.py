@@ -31,6 +31,7 @@ from pdlangevin.metrics import (
     pixelwise_variance,
     psnr,
     w2_exact,
+    w2_pool,
 )
 from pdlangevin.models import gauss1d_target, tv2pixel_target, tv_image_target
 from pdlangevin.prox import (
@@ -241,38 +242,47 @@ def test_two_pixel_transport_curves_order_by_step_ratio():
     checkpoints = list(np.linspace(n_steps // 20, n_steps, 20, dtype=int))
     chain_perm = np.random.default_rng(1).permutation(n_chains)
 
-    def batched_w2(cloud, n_batches=5, size=2_000) -> float:
-        vals = []
-        for i in range(n_batches):
-            mu = EmpiricalMeasure(cloud[chain_perm[i * size : (i + 1) * size]])
-            nu = EmpiricalMeasure(ref_cloud[ref_perm[i * size : (i + 1) * size]])
-            vals.append(w2_exact(mu, nu))
-        return float(np.mean(vals))
+    def batched_w2(pool, cloud, n_batches=5, size=2_000) -> list:
+        return [
+            pool.submit(
+                w2_exact,
+                EmpiricalMeasure(cloud[chain_perm[i * size : (i + 1) * size]]),
+                EmpiricalMeasure(ref_cloud[ref_perm[i * size : (i + 1) * size]]),
+            )
+            for i in range(n_batches)
+        ]
 
-    results = {}
-    for label, kind, lam in (
+    runs = (
         ("ps", "prox_sub", 1.0),
         ("lam1000", "ulpda", 1000.0),
         ("lam100", "ulpda", 100.0),
         ("lam10", "ulpda", 10.0),
-    ):
-        params = SamplerParams(tau=tau, lam=lam, seed=7)
-        curve = []
+    )
+    curves, batches = {}, {}
+    # the assignments are solved on worker threads while the next chains step
+    with w2_pool(len(runs) * (len(checkpoints) + 5)) as pool:
+        for label, kind, lam in runs:
+            params = SamplerParams(tau=tau, lam=lam, seed=7)
+            curve = curves[label] = []
 
-        def on_checkpoint(step, X, Y):
-            mu = EmpiricalMeasure(X[chain_perm[:1_000]])
-            nu = EmpiricalMeasure(ref_cloud[ref_perm[:1_000]])
-            curve.append(w2_exact(mu, nu))
+            def on_checkpoint(step, X, Y, curve=curve):
+                mu = EmpiricalMeasure(X[chain_perm[:1_000]])
+                nu = EmpiricalMeasure(ref_cloud[ref_perm[:1_000]])
+                curve.append(pool.submit(w2_exact, mu, nu))
 
-        store = run_ensemble(
-            target, params, n_chains=n_chains, n_steps=n_steps,
-            burn_in=3_000, thinning=10, kind=kind,
-            checkpoints=checkpoints, on_checkpoint=on_checkpoint,
-        )
-        tail = np.array(curve[-5:])
-        assert tail.max() <= 1.5 * tail.min()  # plateau
-        assert _stationary_flag(store.xs)
-        results[label] = batched_w2(store.final_x)
+            store = run_ensemble(
+                target, params, n_chains=n_chains, n_steps=n_steps,
+                burn_in=3_000, thinning=10, kind=kind,
+                checkpoints=checkpoints, on_checkpoint=on_checkpoint,
+            )
+            assert _stationary_flag(store.xs)
+            batches[label] = batched_w2(pool, store.final_x)
+
+        results = {}
+        for label, _, _ in runs:
+            tail = np.array([solve.result() for solve in curves[label][-5:]])
+            assert tail.max() <= 1.5 * tail.min()  # plateau
+            results[label] = float(np.mean([solve.result() for solve in batches[label]]))
 
     assert results["ps"] < results["lam1000"] < results["lam100"] < results["lam10"]
 

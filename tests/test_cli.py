@@ -1,5 +1,6 @@
 """Config parsing, image IO, step-size rule, scenario runs, exit codes."""
 
+import contextlib
 import csv
 import importlib.util
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pdlangevin import cli
 from pdlangevin.cli import (
     ConfigError,
     ImageGrid,
@@ -185,6 +187,43 @@ class TestScenarios:
         assert rows[0] == ["step", "w2"]
         assert len(rows) == 11
         assert float(rows[-1][1]) > 0
+
+    @pytest.mark.parametrize("n_chains, ref_samples", [(300, 200), (200, 300)])
+    def test_tv2pixel_artifacts_do_not_depend_on_the_solve_threads(
+        self, tmp_path, monkeypatch, n_chains, ref_samples
+    ):
+        # the checkpoint assignments solved on worker threads give the bytes
+        # of the same solves made inline, in checkpoint order
+        from concurrent.futures import Future
+
+        cfg = parse_config(None, overrides=[
+            "scenario=tv2pixel", "lam=100", "tau=0.01", f"n_chains={n_chains}",
+            "n_steps=300", "burn_in=200", "n_checkpoints=12", f"ref_samples={ref_samples}",
+            f"output_dir={tmp_path}/out",
+        ])
+
+        def artifacts() -> dict:
+            extra = run_scenario(cfg)
+            return {"final_w2": extra["final_w2"],
+                    **{p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())}}
+
+        threaded = artifacts()
+
+        class Inline:
+            def submit(self, fn, *args, **kwargs):
+                solve = Future()
+                solve.set_result(fn(*args, **kwargs))
+                return solve
+
+        @contextlib.contextmanager
+        def inline_pool(n_solves):
+            yield Inline()
+
+        monkeypatch.setattr(cli, "w2_pool", inline_pool)
+        inline = artifacts()
+        assert set(threaded) == {"final_w2", "manifest.json", "summary.csv", "w2_vs_time.csv"}
+        assert threaded == inline
+        assert threaded["w2_vs_time.csv"].count(b"\r\n") == 13
 
     def test_tv_image_artifacts(self, tmp_path):
         cfg = parse_config(None, overrides=[
@@ -440,6 +479,17 @@ def test_cli_import_does_not_load_scipy():
     # scipy costs every CLI process about 0.6 s and 45 MB; only w2_exact needs it
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, pdlangevin.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_concurrent_futures():
+    # only the runs that solve an exact assignment (or draw noise on a
+    # worker) pay for the thread-pool module, about 0.6 MB of RSS
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, pdlangevin.cli; print('concurrent.futures' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pdlangevin import coupling
 from pdlangevin.analytic import GaussModel1D, stationary_cov_pd, target_variance
 from pdlangevin.coupling import (
     CouplingTrace,
@@ -15,7 +16,7 @@ from pdlangevin.coupling import (
     run_coupled_pair,
     sweep,
 )
-from pdlangevin.metrics import EmpiricalMeasure
+from pdlangevin.metrics import EmpiricalMeasure, w2_exact
 from pdlangevin.models import gauss1d_target, tv2pixel_target
 from pdlangevin.samplers import DivergenceError, SamplerParams, run_ensemble
 
@@ -277,6 +278,29 @@ class TestSweepIsBatched:
             with pytest.raises(DivergenceError, match="of point 1 diverged"):
                 sweep(target, [1e-2, 3.0], _tau_params(0.01), (0.0, 1.0), n_chains=4,
                       n_steps=2000, burn_in=0, kind="ula")
+
+
+class TestReferenceDistance:
+    def test_batches_average_the_inline_solves_in_batch_order(self):
+        rng = np.random.default_rng(4)
+        cloud, ref = rng.standard_normal((1000, 2)), EmpiricalMeasure(rng.standard_normal((900, 2)))
+        perm = np.random.default_rng(0)
+        perm_a, perm_b = perm.permutation(1000), perm.permutation(900)
+        want = float(np.mean([
+            w2_exact(EmpiricalMeasure(cloud[perm_a[i * 200 : (i + 1) * 200]]),
+                     EmpiricalMeasure(ref.points[perm_b[i * 200 : (i + 1) * 200]]))
+            for i in range(4)
+        ]))
+        assert _w2_to_reference(cloud, ref, batch_cap=200) == want
+
+    def test_moment_and_1d_references_start_no_pool(self, monkeypatch):
+        def no_pool(n_solves):
+            raise AssertionError("a 1D reference started a solve pool")
+
+        monkeypatch.setattr(coupling, "w2_pool", no_pool)
+        cloud = np.random.default_rng(5).standard_normal((500, 1))
+        _w2_to_reference(cloud, (0.0, 1.0))
+        _w2_to_reference(cloud, EmpiricalMeasure(np.random.default_rng(6).standard_normal(300)))
 
 
 class TestDualConcentration:

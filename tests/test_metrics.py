@@ -1,6 +1,8 @@
 """Wasserstein distances, moments, pixel statistics, PSNR."""
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from pdlangevin.metrics import (
     psnr,
     w2_1d,
     w2_exact,
+    w2_pool,
 )
 
 
@@ -112,20 +115,98 @@ class TestW2Exact:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_cost_matches_the_broadcast_formula(self, d):
-        # the in-place build keeps every bit of the (n, n, d) broadcast sum,
-        # signs of zero included
+        # the in-place build keeps every bit of the (n, m, d) broadcast sum,
+        # signs of zero included; the further coordinates go 327 rows at a
+        # time when m = 200, so 300 rows fit one chunk and 1000 do not
+        # fill the last
         rng = np.random.default_rng(d)
-        P, Q = rng.standard_normal((300, d)), rng.standard_normal((200, d))
-        P[:3], Q[:2] = 0.0, -0.0
-        P[5, 0] = Q[7, 0]
-        want = np.sum((P[:, None, :] - Q[None, :, :]) ** 2, axis=-1)
-        got = _sq_dist_matrix(P, Q)
-        assert got.shape == want.shape
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        for n, m in [(300, 200), (1000, 200), (37, 53), (1, 5), (5, 1)]:
+            P, Q = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+            P[:3], Q[:2] = 0.0, -0.0
+            P[min(5, n - 1), 0] = Q[min(7, m - 1), 0]
+            want = np.sum((P[:, None, :] - Q[None, :, :]) ** 2, axis=-1)
+            got = _sq_dist_matrix(P, Q)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+
+    def test_cost_build_holds_one_cost_matrix(self):
+        # further coordinates are squared a chunk of rows at a time, so the
+        # build peaks at the (n, n) cost plus one small chunk
+        rng = np.random.default_rng(0)
+        P, Q = rng.standard_normal((1000, 2)), rng.standard_normal((1000, 2))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _sq_dist_matrix(P, Q)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 1000 * 1000 * 8
 
     def test_weighted_norm_validation(self):
         with pytest.raises(ValueError):
             WeightedNorm(a=0.0, b=1.0, split=1)
+
+
+class TestW2Pool:
+    @staticmethod
+    def _pairs(count, n=40, d=2):
+        rng = np.random.default_rng(9)
+        return [
+            (EmpiricalMeasure(rng.standard_normal((n, d))),
+             EmpiricalMeasure(rng.standard_normal((n, d))))
+            for _ in range(count)
+        ]
+
+    def test_results_are_the_inline_bits_in_submission_order(self):
+        pairs = self._pairs(7)
+        with w2_pool(len(pairs)) as pool:
+            solves = [pool.submit(w2_exact, mu, nu) for mu, nu in pairs]
+            got = [solve.result(timeout=60) for solve in solves]
+        want = [w2_exact(mu, nu) for mu, nu in pairs]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_at_most_two_workers_and_no_more_than_solves(self):
+        with w2_pool(1) as pool:
+            assert pool._max_workers == 1
+        with w2_pool(50) as pool:
+            assert pool._max_workers <= 2
+
+    def test_a_failing_solve_reraises_its_exception_and_threads_exit(self):
+        before = threading.active_count()
+        (mu, nu), = self._pairs(1, n=5)
+        err = ValueError("raised on a worker")
+
+        def fail():
+            raise err
+
+        with w2_pool(3) as pool:
+            over_cap = pool.submit(w2_exact, mu, nu, cap=3)
+            failing = pool.submit(fail)
+            fine = pool.submit(w2_exact, mu, nu)
+            with pytest.raises(ValueError, match="subsample"):
+                over_cap.result(timeout=60)
+            with pytest.raises(ValueError) as info:
+                failing.result(timeout=60)
+            assert info.value is err
+            assert fine.result(timeout=60) == w2_exact(mu, nu)
+        assert threading.active_count() == before
+
+    def test_an_exception_in_the_block_cancels_and_joins(self):
+        before = threading.active_count()
+        pairs = self._pairs(4)
+        with pytest.raises(RuntimeError, match="caller failed"):
+            with w2_pool(len(pairs)) as pool:
+                # keep every worker busy so the solves are still queued
+                busy = [pool.submit(threading.Event().wait, 0.2) for _ in range(2)]
+                solves = [pool.submit(w2_exact, mu, nu) for mu, nu in pairs]
+                raise RuntimeError("caller failed")
+        assert threading.active_count() == before
+        assert all(b.done() for b in busy)
+        assert all(solve.cancelled() for solve in solves)
 
 
 class TestMoments:
