@@ -34,6 +34,7 @@ from .linop import (
 )
 from .metrics import (
     EmpiricalMeasure,
+    RunningMoments,
     WeightedNorm,
     moments,
     pixelwise_variance,

@@ -28,13 +28,16 @@ import numpy as np
 
 from .analytic import GaussModel1D, stationary_cov_pd, target_variance
 from .coupling import _stationary_flag, sweep
-from .metrics import EmpiricalMeasure, moments, pixelwise_variance, psnr, w2_exact, w2_pool
+from .metrics import EmpiricalMeasure, RunningMoments, moments, psnr, w2_exact, w2_pool
 from .models import gauss1d_target, tgv_image_target, tv2pixel_target, tv_image_target
 from .samplers import (
+    ChainState,
     SamplerParams,
     TargetSpec,
     ValidationReport,
+    _drive,
     _kept_steps,
+    _prepare_ensemble,
     make_step,
     run_ensemble,
     validate_params,
@@ -482,26 +485,35 @@ def _run_tv2pixel(cfg: ScenarioConfig, outdir: Path) -> dict:
 
 
 def _run_image(cfg: ScenarioConfig, outdir: Path) -> dict:
+    """TV or TGV denoising run: the posterior mean (MMSE) image, the primal
+    variance map over the image pixels and the mean dual variance.
+
+    No sample is kept. On each kept step (see ``samplers._kept_steps``)
+    the driver's hook feeds the image pixels of every chain and the dual
+    state to two :class:`~pdlangevin.metrics.RunningMoments`, so memory
+    does not grow with the number of kept steps. The mean has the bits of
+    the kept cloud's ``mean(axis=0)``; the variances agree with the
+    two-pass ``pixelwise_variance`` of that cloud to rounding.
+    """
     prob = _build_problem(cfg)
     target, params, clean, noisy = prob.target, prob.params, prob.clean, prob.noisy
     width, height = noisy.width, noisy.height
     d = width * height
-    init = None
-    if cfg.scenario == "tgv_image":
-        x0 = np.zeros(target.dim_primal)
-        x0[:d] = noisy.intensities
-        init = ("point", x0, np.zeros(target.dim_dual))
-    elif cfg.scenario == "tv_image":
-        init = ("point", noisy.intensities, np.zeros(target.dim_dual))
-
-    store = run_ensemble(
-        target, params, n_chains=cfg.n_chains, n_steps=cfg.n_steps,
-        burn_in=cfg.burn_in, thinning=cfg.thinning, kind=prob.kind, init=init,
+    x0 = np.zeros(target.dim_primal)  # TGV: the image pixels, then w = 0
+    x0[:d] = noisy.intensities
+    step, state, rngs, kept_steps = _prepare_ensemble(
+        target, params, cfg.n_chains, cfg.n_steps, cfg.burn_in, cfg.thinning, prob.kind,
+        ("point", x0, np.zeros(target.dim_dual)),
     )
-    x_cloud = store.x_samples[:, :d]
-    mmse = x_cloud.mean(axis=0)
-    var = pixelwise_variance(x_cloud)
-    dual_var = pixelwise_variance(store.y_samples)
+    primal, dual = RunningMoments(), RunningMoments()
+
+    def reduce(n: int, s: ChainState) -> None:
+        if n in kept_steps:
+            primal.add(s.x[:, :d])
+            dual.add(s.y)
+
+    _drive(step, state, rngs, cfg.n_steps, reduce)
+    mmse, var, dual_var = primal.mean(), primal.variance(), dual.variance()
 
     save_image_pgm(outdir / "mmse.pgm", ImageGrid(width, height, mmse))
     log_var = np.log10(np.maximum(var, 1e-12))

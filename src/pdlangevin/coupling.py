@@ -148,38 +148,41 @@ def _stationary_flag(primal: np.ndarray, threshold: float = 1e-2) -> bool:
     return w2_1d(first, second) / scale < threshold
 
 
-def _w2_to_reference(cloud: np.ndarray, reference, batch_cap: int = 2000) -> float:
-    """Stationary distance of the pooled (n, d) primal ``cloud`` to a reference.
+def _w2_to_reference(clouds, reference, batch_cap: int = 2000) -> list[float]:
+    """Stationary distance of each pooled (n, d) primal cloud in ``clouds``
+    to a reference.
 
     ``reference`` is either a (mean, variance) pair — closed-form Gaussian
     distance against the empirical primal moments (1D only) — or an
     :class:`EmpiricalMeasure`, matched by exact assignment over disjoint
-    equal-size batches whose average is returned. The batches are solved
-    on ``metrics.w2_pool``'s worker threads and averaged in batch order;
-    the closed-form and 1D paths start no thread.
+    equal-size batches whose average is returned. Every cloud's batches
+    are submitted to one ``metrics.w2_pool``, so they are solved on its
+    worker threads side by side, and each cloud's results are averaged in
+    batch order; the closed-form and 1D paths start no thread.
     """
     if isinstance(reference, tuple) and len(reference) == 2 and np.isscalar(reference[0]):
-        if cloud.shape[1] != 1:
-            raise ValueError("moment reference requires a 1D primal marginal")
         mean_ref, var_ref = reference
-        emp = cloud[:, 0]
-        return gaussian_w2(float(emp.mean()), float(emp.var(ddof=1)), mean_ref, var_ref)
+        if any(cloud.shape[1] != 1 for cloud in clouds):
+            raise ValueError("moment reference requires a 1D primal marginal")
+        return [gaussian_w2(float(c[:, 0].mean()), float(c[:, 0].var(ddof=1)), mean_ref, var_ref)
+                for c in clouds]
     ref: EmpiricalMeasure = reference
-    if cloud.shape[1] == 1 and ref.dim == 1:
-        return w2_1d(EmpiricalMeasure(cloud), ref)
-    n = min(batch_cap, cloud.shape[0], ref.n)
-    rng = np.random.default_rng(0)
-    perm_a = rng.permutation(cloud.shape[0])
-    perm_b = rng.permutation(ref.n)
-    n_batches = max(1, min(cloud.shape[0] // n, ref.n // n))
+    if ref.dim == 1 and all(cloud.shape[1] == 1 for cloud in clouds):
+        return [w2_1d(EmpiricalMeasure(cloud), ref) for cloud in clouds]
 
-    def batch(i: int) -> float:
-        mu = EmpiricalMeasure(cloud[perm_a[i * n : (i + 1) * n]])
-        nu = EmpiricalMeasure(ref.points[perm_b[i * n : (i + 1) * n]])
-        return w2_exact(mu, nu, cap=batch_cap)
+    def batches(cloud: np.ndarray) -> list[tuple[EmpiricalMeasure, EmpiricalMeasure]]:
+        n = min(batch_cap, cloud.shape[0], ref.n)
+        rng = np.random.default_rng(0)
+        perm_a = rng.permutation(cloud.shape[0])
+        perm_b = rng.permutation(ref.n)
+        return [(EmpiricalMeasure(cloud[perm_a[i * n : (i + 1) * n]]),
+                 EmpiricalMeasure(ref.points[perm_b[i * n : (i + 1) * n]]))
+                for i in range(max(1, min(cloud.shape[0] // n, ref.n // n)))]
 
-    with w2_pool(n_batches) as pool:
-        return float(np.mean(list(pool.map(batch, range(n_batches)))))
+    pairs = [batches(cloud) for cloud in clouds]
+    with w2_pool(sum(map(len, pairs))) as pool:
+        solves = [[pool.submit(w2_exact, mu, nu, cap=batch_cap) for mu, nu in b] for b in pairs]
+        return [float(np.mean([f.result() for f in fs])) for fs in solves]
 
 
 def sweep(
@@ -215,6 +218,6 @@ def sweep(
     _drive(step, state, rngs, n_steps, keep)
     return SweepResult(
         values=np.array(values),
-        w2=np.array([_w2_to_reference(x.reshape(-1, x.shape[-1]), reference) for x in xs]),
+        w2=np.array(_w2_to_reference([x.reshape(-1, x.shape[-1]) for x in xs], reference)),
         stationary=np.array([_stationary_flag(x) for x in xs]),
     )

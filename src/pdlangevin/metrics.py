@@ -2,7 +2,8 @@
 
 Provides exact 2-Wasserstein distances between equally weighted empirical
 measures (sorted coupling in 1D, optimal assignment in general), moments,
-per-pixel variance maps, and PSNR. scipy is imported by the one function
+per-pixel variance maps (from a kept cloud, or streamed through
+``RunningMoments``), and PSNR. scipy is imported by the one function
 that needs it, ``w2_exact``, so importing this module (and the CLI) does
 not load it; nor does it load ``concurrent.futures``, which only
 ``w2_pool`` imports.
@@ -60,34 +61,49 @@ class WeightedNorm:
 
     def sq_dist_matrix(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """Pairwise squared weighted distances between two point clouds."""
-        dx = P[:, None, : self.split] - Q[None, :, : self.split]
-        dy = P[:, None, self.split :] - Q[None, :, self.split :]
-        return self.a * np.sum(dx**2, axis=-1) + self.b * np.sum(dy**2, axis=-1)
+        return _sq_dist_matrix(P, Q, self)
 
 
 # doubles of temporaries that the chunked builds and reductions hold at a time
 _CHUNK = 1 << 16
 
 
-def _sq_dist_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, built in place one coordinate
-    at a time. Summed in coordinate order, they are the bits of
-    ``np.sum((P[:, None] - Q[None]) ** 2, axis=-1)`` without its (n, m, d)
-    temporaries: the cost is the only (n, m) array, and each further
-    coordinate's squares are formed a few rows at a time in a reused
-    chunk of at most ``_CHUNK`` doubles."""
-    cost = np.subtract.outer(P[:, 0], Q[:, 0])
-    cost *= cost
-    if P.shape[1] > 1:
-        rows = max(1, _CHUNK // Q.shape[0])
-        chunk = np.empty((min(rows, P.shape[0]), Q.shape[0]))
-        for start in range(0, P.shape[0], rows):
-            part = cost[start : start + rows]
-            sq = chunk[: len(part)]
-            for k in range(1, P.shape[1]):
+def _sq_dist_matrix(P: np.ndarray, Q: np.ndarray, norm: WeightedNorm | None = None) -> np.ndarray:
+    """Pairwise squared Euclidean distances, or with ``norm`` its weighted
+    ones, built in place a few rows at a time. They are the bits of the
+    broadcast formulas ``np.sum((P[:, None] - Q[None]) ** 2, axis=-1)``
+    and ``a * (that sum over the x block) + b * (over the y block)``
+    without their (n, m, d) temporaries: the cost is the only (n, m)
+    array. Each block's squares are summed in coordinate order, into the
+    cost's rows for the first block and, for the y block, into a reused
+    chunk of at most ``_CHUNK`` doubles that is scaled and then added.
+    """
+    d = P.shape[1]
+    if norm is None:
+        blocks = [(0, d, None)]
+    else:
+        split = min(norm.split, d)
+        blocks = [b for b in ((0, split, norm.a), (split, d, norm.b)) if b[0] < b[1]]
+    n, m = P.shape[0], Q.shape[0]
+    cost = np.empty((n, m))
+    rows = max(1, _CHUNK // m)
+    # scratch[0] sums the second block, scratch[-1] holds one coordinate's squares
+    scratch = np.empty((len(blocks), min(rows, n), m)) if d > 1 else None
+    for start in range(0, n, rows):
+        part = cost[start : start + rows]
+        for j, (lo, hi, weight) in enumerate(blocks):
+            acc = scratch[0, : len(part)] if j else part
+            np.subtract.outer(P[start : start + rows, lo], Q[:, lo], out=acc)
+            acc *= acc
+            for k in range(lo + 1, hi):
+                sq = scratch[-1, : len(part)]
                 np.subtract.outer(P[start : start + rows, k], Q[:, k], out=sq)
                 sq *= sq
-                part += sq
+                acc += sq
+            if weight is not None:
+                acc *= weight
+            if j:
+                part += acc
     return cost
 
 
@@ -132,8 +148,7 @@ def w2_exact(
     # scipy costs about 0.6 s and 45 MB to import, so only this call loads it
     from scipy.optimize import linear_sum_assignment
 
-    P, Q = mu.points, nu.points
-    cost = _sq_dist_matrix(P, Q) if norm is None else norm.sq_dist_matrix(P, Q)
+    cost = _sq_dist_matrix(mu.points, nu.points, norm)
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
 
@@ -206,6 +221,63 @@ def pixelwise_variance(samples) -> np.ndarray:
     total = chunk[0]
     total /= n - 1
     return total
+
+
+class RunningMoments:
+    """Per-coordinate mean and unbiased variance of a sample cloud fed in
+    blocks of rows, in memory that does not grow with the sample count.
+
+    ``add(rows)`` takes one (n_rows, dim) block, in sample order. The mean
+    is a running sum that starts from zeros and adds one row at a time.
+    numpy's ``cloud.mean(axis=0)`` sums a cloud with contiguous rows and
+    dim > 1 in that order, from its identity 0.0, so :meth:`mean` has its
+    bits, signs of zero included (a column of -0.0 sums to +0.0). The
+    variance merges each block's mean and sum of squared deviations (M2)
+    into the running ones as in Chan, Golub & LeVeque (1979). A block's
+    deviations are taken from its first row, so a coordinate that never
+    changes has a variance of exactly 0.0. The variance agrees with the
+    two-pass :func:`pixelwise_variance` to rounding, not bit for bit.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self._sum = self._mean = self._m2 = None
+
+    def add(self, rows) -> None:
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or (self.n and rows.shape[1] != self._sum.size):
+            raise ValueError(f"expected (n_rows, dim) blocks of one dim, got {rows.shape}")
+        k = rows.shape[0]
+        if k == 0:
+            return
+        if self.n == 0:
+            self._sum, self._mean, self._m2 = (np.zeros(rows.shape[1]) for _ in range(3))
+        for row in rows:
+            self._sum += row
+        # the block's mean and M2, from deviations to its first row
+        dev = rows - rows[0]
+        mean = dev.sum(axis=0)
+        mean /= k
+        dev -= mean
+        dev *= dev
+        mean += rows[0]
+        delta = mean - self._mean
+        total = self.n + k
+        self._m2 += dev.sum(axis=0)
+        self._m2 += delta * delta * (self.n * k / total)
+        self._mean += delta * (k / total)
+        self.n = total
+
+    def mean(self) -> np.ndarray:
+        if self.n == 0:
+            raise ValueError("no samples added")
+        return self._sum / self.n
+
+    def variance(self) -> np.ndarray:
+        """Unbiased (ddof = 1) per-coordinate variance."""
+        if self.n < 2:
+            raise ValueError(f"need at least 2 samples for a variance, got {self.n}")
+        return self._m2 / (self.n - 1)
 
 
 def psnr(reference: np.ndarray, estimate: np.ndarray, peak: float = 1.0) -> float:

@@ -27,8 +27,8 @@ from pdlangevin.coupling import _stationary_flag, run_coupled_pair
 from pdlangevin.linop import grad2d
 from pdlangevin.metrics import (
     EmpiricalMeasure,
+    RunningMoments,
     moments,
-    pixelwise_variance,
     psnr,
     w2_exact,
     w2_pool,
@@ -40,7 +40,14 @@ from pdlangevin.prox import (
     quadratic_data_prox,
     scaled_square_prox,
 )
-from pdlangevin.samplers import ChainState, SamplerParams, make_step, run_ensemble
+from pdlangevin.samplers import (
+    ChainState,
+    SamplerParams,
+    _drive,
+    _prepare_ensemble,
+    make_step,
+    run_ensemble,
+)
 
 C_F, C_G, K = 1.0, 2.0, 1.5
 
@@ -291,7 +298,9 @@ def test_two_pixel_transport_curves_order_by_step_ratio():
 def test_image_dispersion_and_denoising_signatures():
     """32x32 denoising: primal pixel variance shrinks and dual variance
     grows as the step ratio increases toward the subgradient sampler, and
-    every posterior mean beats the noisy input by at least 5 dB."""
+    every posterior mean beats the noisy input by at least 5 dB. The
+    moments are streamed from the driver, as the CLI's image runs do, so
+    no run keeps its 600 x 24 samples."""
     width = height = 32
     sigma_eps, alpha, tau = 0.25, 3.0, 0.003
     clean = synthetic_phantom(width, height)
@@ -308,15 +317,21 @@ def test_image_dispersion_and_denoising_signatures():
         ("ps", "prox_sub", 100.0),
     ):
         params = SamplerParams(tau=tau, lam=lam, seed=5)
-        store = run_ensemble(
-            target, params, n_chains=24, n_steps=6_000,
-            burn_in=3_000, thinning=5, kind=kind, init=init,
+        step, state, rngs, kept = _prepare_ensemble(
+            target, params, 24, 6_000, 3_000, 5, kind, init
         )
-        mmse = store.x_samples.mean(axis=0)
+        primal, dual = RunningMoments(), RunningMoments()
+
+        def reduce(n, s, primal=primal, dual=dual, kept=kept):
+            if n in kept:
+                primal.add(s.x)
+                dual.add(s.y)
+
+        _drive(step, state, rngs, 6_000, reduce)
         stats[label] = (
-            float(pixelwise_variance(store.x_samples).mean()),
-            float(pixelwise_variance(store.y_samples).mean()),
-            psnr(clean.intensities, mmse),
+            float(primal.variance().mean()),
+            float(dual.variance().mean()),
+            psnr(clean.intensities, primal.mean()),
         )
 
     primal = {k: v[0] for k, v in stats.items()}

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,8 @@ from pdlangevin.cli import (
     synthetic_phantom,
 )
 from pdlangevin.linop import grad2d
-from pdlangevin.metrics import psnr
+from pdlangevin.metrics import pixelwise_variance, psnr
+from pdlangevin.samplers import run_ensemble
 
 
 class TestStepsizes:
@@ -238,6 +240,69 @@ class TestScenarios:
         mmse = load_image_pgm(out / "mmse.pgm")
         assert (mmse.width, mmse.height) == (8, 8)
         assert np.isfinite(extra["psnr_mmse_db"])
+
+    @pytest.mark.parametrize("overrides", [
+        ("scenario=tv_image", "width=8", "height=8", "alpha=3"),
+        ("scenario=tgv_image", "width=6", "height=6", "alpha1=2", "alpha0=4"),
+    ])
+    def test_image_maps_are_those_of_the_kept_cloud(self, overrides, tmp_path):
+        # burn_in=0, so the initial state is one of the kept samples
+        cfg = parse_config(None, overrides=[
+            *overrides, "tau=0.003", "lam=10", "n_chains=3", "n_steps=120", "burn_in=0",
+            "thinning=3", f"output_dir={tmp_path}/out",
+        ])
+        run_scenario(cfg)
+        prob = cli._build_problem(cfg)
+        w, h, d = cfg.width, cfg.height, cfg.width * cfg.height
+        x0 = np.zeros(prob.target.dim_primal)
+        x0[:d] = prob.noisy.intensities
+        store = run_ensemble(
+            prob.target, prob.params, n_chains=cfg.n_chains, n_steps=cfg.n_steps, burn_in=0,
+            thinning=cfg.thinning, kind=prob.kind, init=("point", x0, np.zeros(prob.target.dim_dual)),
+        )
+        cloud = store.x_samples[:, :d]
+        mmse, var = cloud.mean(axis=0), pixelwise_variance(cloud)
+        log_var = np.log10(np.maximum(var, 1e-12))
+        lo, hi = log_var.min(), log_var.max()
+        assert hi > lo
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        save_image_pgm(ref / "mmse.pgm", ImageGrid(w, h, mmse))
+        save_image_pgm(ref / "variance_log10.pgm", ImageGrid(w, h, (log_var - lo) / (hi - lo)))
+        save_image_pgm(ref / "noisy.pgm", ImageGrid(w, h, np.clip(prob.noisy.intensities, 0, 1)))
+        for name in ("mmse.pgm", "variance_log10.pgm", "noisy.pgm"):
+            assert (tmp_path / "out" / name).read_bytes() == (ref / name).read_bytes(), name
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            summary = {row[0]: float(row[1]) for row in list(csv.reader(fh))[1:]}
+        assert summary["psnr_mmse_db"] == psnr(prob.clean.intensities, mmse)
+        for key, want in (
+            ("mean_pixel_variance", var.mean()),
+            ("mean_dual_variance", pixelwise_variance(store.y_samples).mean()),
+            ("log10_var_min", lo),
+            ("log10_var_max", hi),
+        ):
+            assert summary[key] == pytest.approx(want, rel=1e-12, abs=0), key
+
+    def test_image_memory_does_not_grow_with_kept_steps(self, tmp_path):
+        # the same 600 steps keep 10 or 200 states; kept samples would add
+        # 200 x 4 chains x 3,072 doubles (19.7 MB) to the second run's peak
+        def config(burn_in):
+            return parse_config(None, overrides=[
+                "scenario=tv_image", "width=32", "height=32", "alpha=3", "tau=0.003",
+                "lam=10", "n_chains=4", "n_steps=600", f"burn_in={burn_in}",
+                f"output_dir={tmp_path}/out{burn_in}",
+            ])
+
+        run_scenario(config(590))  # untraced: a first run may import modules
+        peaks = []
+        for burn_in in (590, 400):
+            tracemalloc.start()
+            try:
+                run_scenario(config(burn_in))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 1 << 20, peaks
 
     def test_tgv_image_runs(self, tmp_path):
         cfg = parse_config(None, overrides=[

@@ -16,7 +16,7 @@ from pdlangevin.coupling import (
     run_coupled_pair,
     sweep,
 )
-from pdlangevin.metrics import EmpiricalMeasure, w2_exact
+from pdlangevin.metrics import EmpiricalMeasure, w2_exact, w2_pool
 from pdlangevin.models import gauss1d_target, tv2pixel_target
 from pdlangevin.samplers import DivergenceError, SamplerParams, run_ensemble
 
@@ -269,7 +269,7 @@ class TestSweepIsBatched:
         result = sweep(target, values, params_for, ref, **run)
         for value, w2, flag in zip(values, result.w2, result.stationary):
             store = run_ensemble(target, params_for(value), **run)
-            assert w2 == _w2_to_reference(store.x_samples, ref)
+            assert [w2] == _w2_to_reference([store.x_samples], ref)
             assert flag == _stationary_flag(store.xs)
 
     def test_diverging_point_is_named(self):
@@ -291,7 +291,28 @@ class TestReferenceDistance:
                      EmpiricalMeasure(ref.points[perm_b[i * 200 : (i + 1) * 200]]))
             for i in range(4)
         ]))
-        assert _w2_to_reference(cloud, ref, batch_cap=200) == want
+        assert _w2_to_reference([cloud], ref, batch_cap=200) == [want]
+
+    def test_each_cloud_averages_its_own_batches(self):
+        rng = np.random.default_rng(8)
+        ref = EmpiricalMeasure(rng.standard_normal((900, 2)))
+        clouds = [rng.standard_normal((1000, 2)), 1.5 + rng.standard_normal((700, 2))]
+        want = [_w2_to_reference([c], ref, batch_cap=200)[0] for c in clouds]
+        assert _w2_to_reference(clouds, ref, batch_cap=200) == want
+
+    def test_a_sweep_solves_every_point_in_one_pool(self, monkeypatch):
+        opened = []
+
+        def counting_pool(n_solves):
+            opened.append(n_solves)
+            return w2_pool(n_solves)
+
+        monkeypatch.setattr(coupling, "w2_pool", counting_pool)
+        target = tv2pixel_target(np.array([0.0, 1.0]), 0.5, 3.0)
+        ref = EmpiricalMeasure(np.random.default_rng(0).normal(0.5, 0.4, (600, 2)))
+        sweep(target, [1.0, 10.0], _lambda_params(0.01, seed=2), ref,
+              n_chains=40, n_steps=300, burn_in=100, thinning=2)
+        assert opened == [2]
 
     def test_moment_and_1d_references_start_no_pool(self, monkeypatch):
         def no_pool(n_solves):
@@ -299,8 +320,8 @@ class TestReferenceDistance:
 
         monkeypatch.setattr(coupling, "w2_pool", no_pool)
         cloud = np.random.default_rng(5).standard_normal((500, 1))
-        _w2_to_reference(cloud, (0.0, 1.0))
-        _w2_to_reference(cloud, EmpiricalMeasure(np.random.default_rng(6).standard_normal(300)))
+        _w2_to_reference([cloud], (0.0, 1.0))
+        _w2_to_reference([cloud], EmpiricalMeasure(np.random.default_rng(6).standard_normal(300)))
 
 
 class TestDualConcentration:

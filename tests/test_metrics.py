@@ -6,9 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdlangevin.metrics import (
     EmpiricalMeasure,
+    RunningMoments,
     WeightedNorm,
     moments,
     pixelwise_variance,
@@ -146,6 +149,43 @@ class TestW2Exact:
             tracemalloc.stop()
         assert peak <= 1.1 * 1000 * 1000 * 8
 
+    @staticmethod
+    def _broadcast_weighted(norm, P, Q):
+        """The weighted cost as it was first written: (n, m, k) broadcasts."""
+        dx = P[:, None, : norm.split] - Q[None, :, : norm.split]
+        dy = P[:, None, norm.split :] - Q[None, :, norm.split :]
+        return norm.a * np.sum(dx**2, axis=-1) + norm.b * np.sum(dy**2, axis=-1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_weighted_cost_matches_the_broadcast_formula(self, d):
+        rng = np.random.default_rng(10 + d)
+        for split in sorted({0, 1, 2, d}):
+            norm = WeightedNorm(a=0.7, b=1.0 / 25.0, split=split)
+            for n, m in [(300, 200), (1000, 200), (37, 53), (1, 5), (5, 1)]:
+                P, Q = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+                P[:3], Q[:2] = 0.0, -0.0
+                want = self._broadcast_weighted(norm, P, Q)
+                got = norm.sq_dist_matrix(P, Q)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes()
+
+    def test_weighted_cost_build_holds_one_cost_matrix(self):
+        # the y block is summed a chunk of rows at a time, so the build
+        # peaks at the (n, n) cost plus two small chunks
+        rng = np.random.default_rng(1)
+        P, Q = rng.standard_normal((1000, 3)), rng.standard_normal((1000, 3))
+        norm = WeightedNorm(a=1.0, b=0.04, split=2)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            norm.sq_dist_matrix(P, Q)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 1000 * 1000 * 8
+
     def test_weighted_norm_validation(self):
         with pytest.raises(ValueError):
             WeightedNorm(a=0.0, b=1.0, split=1)
@@ -266,6 +306,69 @@ class TestPixelwiseVariance:
         elif layout == "strided":
             pts = np.repeat(pts, 2, axis=1)[:, ::2]
         assert np.array_equal(pixelwise_variance(pts), pts.var(axis=0, ddof=1))
+
+
+@st.composite
+def _clouds_in_blocks(draw):
+    """A random (n, dim) cloud, some of its columns constant, and a split
+    of its rows into consecutive blocks (1-row blocks included)."""
+    n, dim = draw(st.integers(1, 60)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.3, 1.0, 40.0]))
+    cloud = draw(st.sampled_from([0.0, 0.5, -3.0])) + scale * rng.standard_normal((n, dim))
+    constant = draw(st.sets(st.integers(0, dim - 1)))
+    for j in constant:
+        cloud[:, j] = draw(st.sampled_from([0.0, -0.0, 0.1, -3.7, 1e8]))
+    sizes, left = [], n
+    while left:
+        sizes.append(draw(st.integers(1, left)))
+        left -= sizes[-1]
+    return cloud, sorted(constant), sizes
+
+
+class TestRunningMoments:
+    # dim >= 2: numpy sums a single column pairwise, not row by row
+    @settings(max_examples=200, deadline=None)
+    @given(_clouds_in_blocks())
+    def test_streams_the_moments_of_the_whole_cloud(self, case):
+        cloud, constant, sizes = case
+        moments_ = RunningMoments()
+        start = 0
+        for k in sizes:
+            moments_.add(cloud[start : start + k])
+            start += k
+        assert moments_.n == cloud.shape[0]
+        assert moments_.mean().tobytes() == cloud.mean(axis=0).tobytes()
+        if cloud.shape[0] < 2:
+            with pytest.raises(ValueError, match="at least 2"):
+                moments_.variance()
+            return
+        var = moments_.variance()
+        assert np.all(var[constant] == 0.0)
+        assert not np.signbit(var).any()
+        varying = np.setdiff1d(np.arange(cloud.shape[1]), constant)
+        np.testing.assert_allclose(var[varying], pixelwise_variance(cloud)[varying],
+                                   rtol=1e-12, atol=0)
+
+    def test_needs_samples(self):
+        moments_ = RunningMoments()
+        with pytest.raises(ValueError):
+            moments_.mean()
+        with pytest.raises(ValueError, match="at least 2"):
+            moments_.variance()
+        moments_.add(np.ones((1, 3)))
+        with pytest.raises(ValueError, match="at least 2"):
+            moments_.variance()
+        moments_.add(np.zeros((0, 3)))
+        assert moments_.n == 1
+
+    def test_rejects_blocks_of_another_shape(self):
+        moments_ = RunningMoments()
+        with pytest.raises(ValueError):
+            moments_.add(np.ones(3))
+        moments_.add(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            moments_.add(np.ones((2, 1)))
 
 
 class TestPsnr:
