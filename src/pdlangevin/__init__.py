@@ -35,9 +35,7 @@ from .linop import (
 from .metrics import (
     EmpiricalMeasure,
     RunningMoments,
-    WeightedNorm,
     moments,
-    pixelwise_variance,
     psnr,
     w2_1d,
     w2_exact,
@@ -52,10 +50,8 @@ from .prox import (
     ProxOperator,
     group_ball_projection,
     interval_projection,
-    prox_via_moreau,
     quadratic_data_prox,
     scaled_square_prox,
-    zero_prox,
 )
 from .samplers import (
     ChainState,

@@ -212,6 +212,8 @@ class ScenarioConfig:
                      "ref_tau_factor"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.tau >= 0:
+            raise ConfigError(f"tau must be >= 0 (0 derives it), got {self.tau}")
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if self.k == 0:
@@ -379,6 +381,9 @@ def _content_hash(cfg: ScenarioConfig, extra_bytes: bytes = b"") -> str:
 
 
 def _write_manifest(outdir: Path, cfg: ScenarioConfig, report, extra: dict, input_bytes: bytes = b"") -> Path:
+    """Write ``manifest.json``: the config, the step-size report, the content
+    hash and the run's ``extra`` fields, as strict JSON (a non-finite
+    float, such as the slope of a one-point sweep, is written as null)."""
     manifest = {f.name: getattr(cfg, f.name) for f in dc_fields(cfg)}
     manifest.update(
         {
@@ -390,43 +395,48 @@ def _write_manifest(outdir: Path, cfg: ScenarioConfig, report, extra: dict, inpu
         }
     )
     manifest.update(extra)
+    manifest = {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in manifest.items()
+    }
     path = outdir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False),
+                    encoding="utf-8")
     return path
 
 
-def _run_gauss1d(cfg: ScenarioConfig, outdir: Path) -> dict:
-    prob = _build_problem(cfg)
-    model, params = prob.model, prob.params
+def _write_moments(outdir: Path, **blocks: np.ndarray) -> dict:
+    """Write ``summary.csv``: the mean and variance of every coordinate of
+    each named (n, dim) sample block, in order; return each block's
+    variances."""
+    rows, variances = [], {}
+    for name, samples in blocks.items():
+        mean, cov = moments(EmpiricalMeasure(samples))
+        rows += [[name, i, mean[i], cov[i, i]] for i in range(mean.size)]
+        variances[name] = cov.diagonal()
+    _write_csv(outdir / "summary.csv", ["block", "coordinate", "mean", "variance"], rows)
+    return variances
+
+
+def _run_gauss1d(cfg: ScenarioConfig, prob: _Problem, outdir: Path) -> dict:
     store = run_ensemble(
-        prob.target, params, n_chains=cfg.n_chains, n_steps=cfg.n_steps,
+        prob.target, prob.params, n_chains=cfg.n_chains, n_steps=cfg.n_steps,
         burn_in=cfg.burn_in, thinning=cfg.thinning, kind=prob.kind,
     )
-    xm, xc = moments(EmpiricalMeasure(store.x_samples))
-    ym, yc = moments(EmpiricalMeasure(store.y_samples))
-    _write_csv(
-        outdir / "summary.csv",
-        ["block", "coordinate", "mean", "variance"],
-        [["x", 0, xm[0], xc[0, 0]], ["y", 0, ym[0], yc[0, 0]]],
-    )
+    variances = _write_moments(outdir, x=store.x_samples, y=store.y_samples)
     counts, edges = np.histogram(store.x_samples[:, 0], bins=50)
     _write_csv(
         outdir / "histogram.csv",
         ["bin_left", "bin_right", "count"],
         [[edges[i], edges[i + 1], int(counts[i])] for i in range(counts.size)],
     )
-    extra = {
-        "tau": params.tau,
-        "sigma": params.sigma,
-        "target_variance": target_variance(model),
-        "stationary_variance": stationary_cov_pd(model)[0, 0],
-        "empirical_variance": float(xc[0, 0]),
+    return {
+        "target_variance": target_variance(prob.model),
+        "stationary_variance": stationary_cov_pd(prob.model)[0, 0],
+        "empirical_variance": float(variances["x"][0]),
     }
-    _write_manifest(outdir, cfg, prob.report, extra)
-    return extra
 
 
-def _run_tv2pixel(cfg: ScenarioConfig, outdir: Path) -> dict:
+def _run_tv2pixel(cfg: ScenarioConfig, prob: _Problem, outdir: Path) -> dict:
     """Two-pixel TV run: the sampler's exact W2 to a fine-step reference
     cloud at each checkpoint, then the moments of the kept samples.
 
@@ -436,7 +446,6 @@ def _run_tv2pixel(cfg: ScenarioConfig, outdir: Path) -> dict:
     worker threads while the chains keep stepping; the curve is read in
     checkpoint order once the run is done.
     """
-    prob = _build_problem(cfg)
     target, params, tau = prob.target, prob.params, prob.params.tau
 
     # lam = infinity proxy at a much finer step as the reference cloud
@@ -468,23 +477,11 @@ def _run_tv2pixel(cfg: ScenarioConfig, outdir: Path) -> dict:
         curve = [(step, solve.result()) for step, solve in solves]
     stationary = _stationary_flag(store.xs)
     _write_csv(outdir / "w2_vs_time.csv", ["step", "w2"], curve)
-    xm, xc = moments(EmpiricalMeasure(store.x_samples))
-    _write_csv(
-        outdir / "summary.csv",
-        ["block", "coordinate", "mean", "variance"],
-        [["x", i, xm[i], xc[i, i]] for i in range(2)],
-    )
-    extra = {
-        "tau": tau,
-        "sigma": params.sigma,
-        "final_w2": curve[-1][1] if curve else None,
-        "stationary": bool(stationary),
-    }
-    _write_manifest(outdir, cfg, prob.report, extra)
-    return extra
+    _write_moments(outdir, x=store.x_samples)
+    return {"final_w2": curve[-1][1] if curve else None, "stationary": bool(stationary)}
 
 
-def _run_image(cfg: ScenarioConfig, outdir: Path) -> dict:
+def _run_image(cfg: ScenarioConfig, prob: _Problem, outdir: Path) -> dict:
     """TV or TGV denoising run: the posterior mean (MMSE) image, the primal
     variance map over the image pixels and the mean dual variance.
 
@@ -493,17 +490,16 @@ def _run_image(cfg: ScenarioConfig, outdir: Path) -> dict:
     state to two :class:`~pdlangevin.metrics.RunningMoments`, so memory
     does not grow with the number of kept steps. The mean has the bits of
     the kept cloud's ``mean(axis=0)``; the variances agree with the
-    two-pass ``pixelwise_variance`` of that cloud to rounding.
+    two-pass ``var(axis=0, ddof=1)`` of that cloud to rounding.
     """
-    prob = _build_problem(cfg)
-    target, params, clean, noisy = prob.target, prob.params, prob.clean, prob.noisy
+    target, clean, noisy = prob.target, prob.clean, prob.noisy
     width, height = noisy.width, noisy.height
     d = width * height
     x0 = np.zeros(target.dim_primal)  # TGV: the image pixels, then w = 0
     x0[:d] = noisy.intensities
     step, state, rngs, kept_steps = _prepare_ensemble(
-        target, params, cfg.n_chains, cfg.n_steps, cfg.burn_in, cfg.thinning, prob.kind,
-        ("point", x0, np.zeros(target.dim_dual)),
+        target, prob.params, cfg.n_chains, cfg.n_steps, cfg.burn_in, cfg.thinning, prob.kind,
+        (np.tile(x0, (cfg.n_chains, 1)), np.zeros((cfg.n_chains, target.dim_dual))),
     )
     primal, dual = RunningMoments(), RunningMoments()
 
@@ -536,16 +532,12 @@ def _run_image(cfg: ScenarioConfig, outdir: Path) -> dict:
             ["log10_var_max", float(hi)],
         ],
     )
-    extra = {
-        "tau": params.tau,
-        "sigma": params.sigma,
+    return {
         "psnr_noisy_db": psnr_noisy,
         "psnr_mmse_db": psnr_mmse,
         "mean_pixel_variance": float(var.mean()),
         "mean_dual_variance": float(dual_var.mean()),
     }
-    _write_manifest(outdir, cfg, prob.report, extra, input_bytes=prob.input_bytes)
-    return extra
 
 
 def _sweep_values(cfg: ScenarioConfig) -> list[float]:
@@ -597,24 +589,34 @@ def _run_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
             for v, w, s in zip(result.values, result.w2, result.stationary)
         ],
     )
-    extra = {"loglog_slope": slope, "sweep_kind": cfg.sweep_kind}
-    _write_manifest(outdir, cfg, None, extra)
-    return extra
+    return {"loglog_slope": slope}
+
+
+_RUNNERS = {
+    "gauss1d": _run_gauss1d,
+    "tv2pixel": _run_tv2pixel,
+    "tv_image": _run_image,
+    "tgv_image": _run_image,
+}
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
-    """Execute one configured experiment and write its artifacts."""
+    """Execute one configured experiment and write its artifacts. Each
+    runner writes its own files and returns its own manifest fields; the
+    manifest, and its step sizes for a single run, are written here.
+    Returns the fields the run added to the config in the manifest."""
     cfg.validate()
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    runners = {
-        "gauss1d": _run_gauss1d,
-        "tv2pixel": _run_tv2pixel,
-        "tv_image": _run_image,
-        "tgv_image": _run_image,
-        "sweep": _run_sweep,
-    }
-    return runners[cfg.scenario](cfg, outdir)
+    if cfg.scenario == "sweep":
+        extra, report, input_bytes = _run_sweep(cfg, outdir), None, b""
+    else:
+        prob = _build_problem(cfg)
+        extra = {"tau": prob.params.tau, "sigma": prob.params.sigma}
+        extra.update(_RUNNERS[cfg.scenario](cfg, prob, outdir))
+        report, input_bytes = prob.report, prob.input_bytes
+    _write_manifest(outdir, cfg, report, extra, input_bytes)
+    return extra
 
 
 # --- command-line entry point ---

@@ -30,10 +30,11 @@ class LinearMap:
     label: str = "K"
     _norm_estimate: float | None = field(default=None, repr=False)
 
-    def norm(self, iters: int = 200, seed: int = 0) -> float:
-        """Operator norm estimate, computed once and cached."""
+    def norm(self) -> float:
+        """Operator norm estimate (200 power iterations from seed 0),
+        computed once and cached."""
         if self._norm_estimate is None:
-            self._norm_estimate = power_iteration_norm(self, iters=iters, seed=seed)
+            self._norm_estimate = power_iteration_norm(self)
         return self._norm_estimate
 
 

@@ -2,11 +2,10 @@
 
 Provides exact 2-Wasserstein distances between equally weighted empirical
 measures (sorted coupling in 1D, optimal assignment in general), moments,
-per-pixel variance maps (from a kept cloud, or streamed through
-``RunningMoments``), and PSNR. scipy is imported by the one function
-that needs it, ``w2_exact``, so importing this module (and the CLI) does
-not load it; nor does it load ``concurrent.futures``, which only
-``w2_pool`` imports.
+per-pixel mean and variance maps streamed through ``RunningMoments``, and
+PSNR. scipy is imported by the one function that needs it, ``w2_exact``,
+so importing this module (and the CLI) does not load it; nor does it load
+``concurrent.futures``, which only ``w2_pool`` imports.
 """
 
 from __future__ import annotations
@@ -44,66 +43,32 @@ class EmpiricalMeasure:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
-class WeightedNorm:
-    """Squared norm ``a * ||x||^2 + b * ||y||^2`` on vectors split after
-    the first ``split`` coordinates (primal block x, dual block y)."""
-
-    a: float
-    b: float
-    split: int
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("weights must be positive")
-        if self.split < 0:
-            raise ValueError("split index must be nonnegative")
-
-    def sq_dist_matrix(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """Pairwise squared weighted distances between two point clouds."""
-        return _sq_dist_matrix(P, Q, self)
-
-
-# doubles of temporaries that the chunked builds and reductions hold at a time
+# doubles of temporaries that the chunked cost build holds at a time
 _CHUNK = 1 << 16
 
 
-def _sq_dist_matrix(P: np.ndarray, Q: np.ndarray, norm: WeightedNorm | None = None) -> np.ndarray:
-    """Pairwise squared Euclidean distances, or with ``norm`` its weighted
-    ones, built in place a few rows at a time. They are the bits of the
-    broadcast formulas ``np.sum((P[:, None] - Q[None]) ** 2, axis=-1)``
-    and ``a * (that sum over the x block) + b * (over the y block)``
-    without their (n, m, d) temporaries: the cost is the only (n, m)
-    array. Each block's squares are summed in coordinate order, into the
-    cost's rows for the first block and, for the y block, into a reused
-    chunk of at most ``_CHUNK`` doubles that is scaled and then added.
+def _sq_dist_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances, built in place a few rows at
+    a time. They are the bits of the broadcast formula
+    ``np.sum((P[:, None] - Q[None]) ** 2, axis=-1)`` without its (n, m, d)
+    temporary: the cost is the only (n, m) array. The squares are summed
+    in coordinate order into the cost's rows, through a reused chunk of at
+    most ``_CHUNK`` doubles that holds one coordinate's squares.
     """
     d = P.shape[1]
-    if norm is None:
-        blocks = [(0, d, None)]
-    else:
-        split = min(norm.split, d)
-        blocks = [b for b in ((0, split, norm.a), (split, d, norm.b)) if b[0] < b[1]]
     n, m = P.shape[0], Q.shape[0]
     cost = np.empty((n, m))
     rows = max(1, _CHUNK // m)
-    # scratch[0] sums the second block, scratch[-1] holds one coordinate's squares
-    scratch = np.empty((len(blocks), min(rows, n), m)) if d > 1 else None
+    scratch = np.empty((min(rows, n), m)) if d > 1 else None
     for start in range(0, n, rows):
         part = cost[start : start + rows]
-        for j, (lo, hi, weight) in enumerate(blocks):
-            acc = scratch[0, : len(part)] if j else part
-            np.subtract.outer(P[start : start + rows, lo], Q[:, lo], out=acc)
-            acc *= acc
-            for k in range(lo + 1, hi):
-                sq = scratch[-1, : len(part)]
-                np.subtract.outer(P[start : start + rows, k], Q[:, k], out=sq)
-                sq *= sq
-                acc += sq
-            if weight is not None:
-                acc *= weight
-            if j:
-                part += acc
+        np.subtract.outer(P[start : start + rows, 0], Q[:, 0], out=part)
+        part *= part
+        for k in range(1, d):
+            sq = scratch[: len(part)]
+            np.subtract.outer(P[start : start + rows, k], Q[:, k], out=sq)
+            sq *= sq
+            part += sq
     return cost
 
 
@@ -125,16 +90,11 @@ def w2_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def w2_exact(
-    mu: EmpiricalMeasure,
-    nu: EmpiricalMeasure,
-    norm: WeightedNorm | None = None,
-    cap: int = 2000,
-) -> float:
+def w2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cap: int = 2000) -> float:
     """Exact 2-Wasserstein distance between equal-count empirical measures.
 
-    Solves the optimal assignment problem under the squared (optionally
-    weighted) norm cost and returns the root mean matched cost.
+    Solves the optimal assignment problem under the squared Euclidean cost
+    and returns the root mean matched cost.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
@@ -148,7 +108,7 @@ def w2_exact(
     # scipy costs about 0.6 s and 45 MB to import, so only this call loads it
     from scipy.optimize import linear_sum_assignment
 
-    cost = _sq_dist_matrix(mu.points, nu.points, norm)
+    cost = _sq_dist_matrix(mu.points, nu.points)
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
 
@@ -187,42 +147,6 @@ def moments(mu: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def pixelwise_variance(samples) -> np.ndarray:
-    """Unbiased per-coordinate variance over a sample cloud.
-
-    Accepts an (n, d) array or any object exposing ``x_samples`` with that
-    shape (e.g. an ensemble sample store); returns a length-d vector.
-
-    The result is ``pts.var(axis=0, ddof=1)`` bit for bit, without its
-    (n, d) temporary of deviations: numpy sums the squared deviations of a
-    cloud with contiguous rows and d > 1 row after row, in sample order, so
-    they are formed a few rows at a time and added to a running total that
-    leads each chunk. Any other layout goes to numpy, which may sum it down
-    the sample axis pairwise.
-    """
-    pts = getattr(samples, "x_samples", samples)
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ValueError("need an (n >= 2, d) sample array")
-    n, d = pts.shape
-    if d == 1 or not pts[0].flags.c_contiguous:
-        return pts.var(axis=0, ddof=1)
-    mean = pts.sum(axis=0)
-    mean /= n
-    rows = max(1, _CHUNK // d)
-    chunk = np.empty((min(rows, n) + 1, d))
-    chunk[0] = 0.0
-    for start in range(0, n, rows):
-        part = pts[start : start + rows]
-        sq = chunk[1 : len(part) + 1]
-        np.subtract(part, mean, out=sq)
-        np.square(sq, out=sq)
-        chunk[0] = chunk[: len(part) + 1].sum(axis=0)
-    total = chunk[0]
-    total /= n - 1
-    return total
-
-
 class RunningMoments:
     """Per-coordinate mean and unbiased variance of a sample cloud fed in
     blocks of rows, in memory that does not grow with the sample count.
@@ -236,7 +160,7 @@ class RunningMoments:
     into the running ones as in Chan, Golub & LeVeque (1979). A block's
     deviations are taken from its first row, so a coordinate that never
     changes has a variance of exactly 0.0. The variance agrees with the
-    two-pass :func:`pixelwise_variance` to rounding, not bit for bit.
+    two-pass ``cloud.var(axis=0, ddof=1)`` to rounding, not bit for bit.
     """
 
     def __init__(self):

@@ -36,16 +36,6 @@ class ProxOperator:
     label: str = "prox"
 
 
-def prox_via_moreau(fstar_prox: ProxOperator, v: np.ndarray, gamma: float) -> np.ndarray:
-    """Prox of f obtained from the prox of its conjugate via Moreau's identity.
-
-    ``prox_{gamma f}(v) = v - gamma * prox_{f*/gamma}(v / gamma)``.
-    """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return v - gamma * fstar_prox.eval(v / gamma, 1.0 / gamma)
-
-
 def scaled_square_prox(c: float) -> ProxOperator:
     """Prox of ``x -> ||x||^2 / (2c)``, the shrinkage ``v / (1 + gamma/c)``,
     with modulus 1/c."""
@@ -134,8 +124,3 @@ def group_ball_projection(alpha: float, group_size: int = 2) -> ProxOperator:
         modulus=0.0,
         label=f"group_ball_projection(alpha={alpha}, group={group_size})",
     )
-
-
-def zero_prox() -> ProxOperator:
-    """Prox of the zero function (identity map)."""
-    return ProxOperator(eval=lambda v, gamma: v, modulus=0.0, label="zero")

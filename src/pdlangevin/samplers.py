@@ -367,11 +367,6 @@ class SampleStore:
     xs: np.ndarray
     ys: np.ndarray
     params: SamplerParams
-    kind: str
-    n_chains: int
-    n_steps: int
-    burn_in: int
-    thinning: int
 
     @property
     def x_samples(self) -> np.ndarray:
@@ -385,10 +380,6 @@ class SampleStore:
     def final_x(self) -> np.ndarray:
         return self.xs[-1]
 
-    @property
-    def final_y(self) -> np.ndarray:
-        return self.ys[-1]
-
 
 def _chain_rngs(seed: int, n_chains: int) -> np.ndarray:
     # counter-based Philox streams keyed by (master seed, chain index):
@@ -399,24 +390,6 @@ def _chain_rngs(seed: int, n_chains: int) -> np.ndarray:
         for i in range(n_chains)
     ]
     return rngs
-
-
-def _resolve_init(init, n_chains: int, d: int, m: int, rngs) -> tuple[np.ndarray, np.ndarray]:
-    if init is None:
-        return np.zeros((n_chains, d)), np.zeros((n_chains, m))
-    if isinstance(init, tuple) and len(init) >= 1 and isinstance(init[0], str):
-        if init[0] == "point":
-            _, x0, y0 = init
-            X = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains, d)).copy()
-            Y = np.broadcast_to(np.asarray(y0, dtype=float), (n_chains, m)).copy()
-            return X, Y
-        if init[0] == "gaussian":
-            scale = float(init[1])
-            X = np.stack([scale * r.standard_normal(d) for r in rngs])
-            Y = np.stack([scale * r.standard_normal(m) for r in rngs])
-            return X, Y
-        raise ValueError(f"unknown init spec {init[0]!r}")
-    return init
 
 
 def _initial_state(target: TargetSpec, rows: tuple[int, ...], X, Y) -> ChainState:
@@ -560,6 +533,8 @@ def _prepare_ensemble(
     Point j's chain i draws from the stream keyed by (seed_j, i). Points
     that all have one seed share one generator per chain, whose draws are
     broadcast over the points; otherwise every point gets its own.
+    ``init`` is None (all chains at zero) or an (X, Y) pair of (n_chains, d)
+    and (n_chains, m) arrays, which every point starts from.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
@@ -571,18 +546,16 @@ def _prepare_ensemble(
     for p in points:
         validate_params(target, p)
     step = make_step(kind, target, params)
-    d, m = target.dim_primal, target.dim_dual
     batch = () if isinstance(params, SamplerParams) else (len(points),)
     if len({p.seed for p in points}) == 1:
         rngs = _chain_rngs(points[0].seed, n_chains)
     else:
         rngs = np.stack([_chain_rngs(p.seed, n_chains) for p in points])
-    inits = [_resolve_init(init, n_chains, d, m, r) for r in rngs.reshape(-1, n_chains)]
-    if batch:  # one init per point, drawn once from each distinct stream set
-        inits *= len(points) // len(inits)
-        X, Y = (np.stack(a) for a in zip(*inits))
-    else:
-        (X, Y), = inits
+    if init is None:
+        init = np.zeros((n_chains, target.dim_primal)), np.zeros((n_chains, target.dim_dual))
+    X, Y = init
+    if batch:  # every point starts from the same arrays
+        X, Y = (np.stack([a] * len(points)) for a in (X, Y))
     return (step, _initial_state(target, batch + (n_chains,), X, Y), rngs,
             _kept_steps(n_steps, burn_in, thinning))
 
@@ -602,8 +575,10 @@ def run_ensemble(
 ):
     """Run ``n_chains`` independent chains and collect thinned samples.
 
-    Each chain owns a counter-based RNG stream derived from
-    ``(params.seed, chain_index)``, so results are bit-reproducible and
+    The chains start from ``init``: None puts them all at zero, and an
+    (X, Y) pair of (n_chains, d) and (n_chains, m) arrays gives chain i the
+    rows X[i] and Y[i]. Each chain owns a counter-based RNG stream derived
+    from ``(params.seed, chain_index)``, so results are bit-reproducible and
     independent of batching. Samples are kept every ``thinning`` steps
     after ``burn_in`` (plus the initial state when ``burn_in`` is 0; the
     final state when nothing else is kept), in arrays of shape
@@ -625,8 +600,7 @@ def run_ensemble(
     bit-identical to a run of its point alone: point j's chain i keeps the
     stream (seed_j, i), and points sharing one seed draw each stream once
     for all of them. ``validate_params`` runs on every point. Every point
-    starts from the same ``init`` (explicit arrays keep the shapes
-    (n_chains, d) and (n_chains, m)); checkpoint arrays have shape
+    starts from the same ``init``; checkpoint arrays have shape
     (P, n_chains, dim).
     """
     step, state, rngs, kept_steps = _prepare_ensemble(
@@ -646,7 +620,6 @@ def run_ensemble(
             on_checkpoint(n, s.x, s.y)
 
     _drive(step, state, rngs, n_steps, keep, noise_block)
-    run = dict(kind=kind, n_chains=n_chains, n_steps=n_steps, burn_in=burn_in, thinning=thinning)
     if isinstance(params, SamplerParams):
-        return SampleStore(xs=xs, ys=ys, params=params, **run)
-    return [SampleStore(xs=xs[j], ys=ys[j], params=p, **run) for j, p in enumerate(_points(params))]
+        return SampleStore(xs=xs, ys=ys, params=params)
+    return [SampleStore(xs=xs[j], ys=ys[j], params=p) for j, p in enumerate(_points(params))]

@@ -306,7 +306,7 @@ def test_image_dispersion_and_denoising_signatures():
     clean = synthetic_phantom(width, height)
     noisy = add_gaussian_noise(clean, sigma_eps, seed=123)
     target = tv_image_target(noisy.intensities, sigma_eps, alpha, width, height)
-    init = ("point", noisy.intensities, np.zeros(target.dim_dual))
+    init = np.tile(noisy.intensities, (24, 1)), np.zeros((24, target.dim_dual))
     psnr_noisy = psnr(clean.intensities, noisy.intensities)
 
     stats = {}

@@ -31,7 +31,7 @@ from pdlangevin.cli import (
     synthetic_phantom,
 )
 from pdlangevin.linop import grad2d
-from pdlangevin.metrics import pixelwise_variance, psnr
+from pdlangevin.metrics import psnr
 from pdlangevin.samplers import run_ensemble
 
 
@@ -254,14 +254,15 @@ class TestScenarios:
         run_scenario(cfg)
         prob = cli._build_problem(cfg)
         w, h, d = cfg.width, cfg.height, cfg.width * cfg.height
-        x0 = np.zeros(prob.target.dim_primal)
-        x0[:d] = prob.noisy.intensities
+        X0 = np.zeros((cfg.n_chains, prob.target.dim_primal))
+        X0[:, :d] = prob.noisy.intensities
         store = run_ensemble(
             prob.target, prob.params, n_chains=cfg.n_chains, n_steps=cfg.n_steps, burn_in=0,
-            thinning=cfg.thinning, kind=prob.kind, init=("point", x0, np.zeros(prob.target.dim_dual)),
+            thinning=cfg.thinning, kind=prob.kind,
+            init=(X0, np.zeros((cfg.n_chains, prob.target.dim_dual))),
         )
         cloud = store.x_samples[:, :d]
-        mmse, var = cloud.mean(axis=0), pixelwise_variance(cloud)
+        mmse, var = cloud.mean(axis=0), cloud.var(axis=0, ddof=1)
         log_var = np.log10(np.maximum(var, 1e-12))
         lo, hi = log_var.min(), log_var.max()
         assert hi > lo
@@ -277,7 +278,7 @@ class TestScenarios:
         assert summary["psnr_mmse_db"] == psnr(prob.clean.intensities, mmse)
         for key, want in (
             ("mean_pixel_variance", var.mean()),
-            ("mean_dual_variance", pixelwise_variance(store.y_samples).mean()),
+            ("mean_dual_variance", store.y_samples.var(axis=0, ddof=1).mean()),
             ("log10_var_min", lo),
             ("log10_var_max", hi),
         ):
@@ -362,6 +363,8 @@ class TestMainExitCodes:
         ("tgv_image", "alpha1=0"),
         ("tgv_image", "alpha0=0"),
         ("tv_image", "sigma_eps=0"),
+        ("gauss1d", "tau=-1"),
+        ("gauss1d", "tau=nan"),
     ])
     def test_value_out_of_range_is_a_config_error(self, scenario, override, tmp_path, capsys):
         code = main(["run", f"scenario={scenario}", override, "width=8", "height=8",
@@ -449,6 +452,22 @@ class TestMainExitCodes:
         with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and math.isnan(float(rows[0]["loglog_slope"]))
+
+    @pytest.mark.parametrize("args, field", [
+        (["sweep", "sweep_values=1", "n_chains=2", "n_steps=10", "burn_in=5"], "loglog_slope"),
+        (["run", "scenario=gauss1d", "sampler=ula", "tau=3", "lam=0.01", "n_steps=200"],
+         "empirical_variance"),
+    ], ids=["one_point_sweep", "overflowing_variance"])
+    def test_manifest_is_strict_json(self, args, field, tmp_path):
+        # a non-finite field is written as null, not as NaN or Infinity,
+        # which strict JSON parsers reject
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([*args, f"output_dir={tmp_path}/out"]) == 0
+        text = (tmp_path / "out" / "manifest.json").read_text()
+        assert json.loads(text, parse_constant=reject)[field] is None
 
 
 class TestSweepOrdering:

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from pdlangevin.metrics import (
     EmpiricalMeasure,
     RunningMoments,
-    WeightedNorm,
     moments,
-    pixelwise_variance,
     _sq_dist_matrix,
     psnr,
     w2_1d,
@@ -100,22 +98,6 @@ class TestW2Exact:
         with pytest.raises(ValueError, match="subsample"):
             w2_exact(mu, mu, cap=3)
 
-    def test_weighted_dual_scaling(self):
-        # clouds sharing one common primal point and differing only in the
-        # dual block: the weighted distance is exactly sqrt(b) times the
-        # euclidean dual-only distance
-        rng = np.random.default_rng(4)
-        primal = np.tile([0.7, -0.2], (10, 1))
-        dual_a = rng.standard_normal((10, 1))
-        dual_b = rng.standard_normal((10, 1))
-        mu = EmpiricalMeasure(np.hstack([primal, dual_a]))
-        nu = EmpiricalMeasure(np.hstack([primal, dual_b]))
-        lam = 25.0
-        norm = WeightedNorm(a=1.0, b=1.0 / lam, split=2)
-        got = w2_exact(mu, nu, norm=norm)
-        dual_only = w2_exact(EmpiricalMeasure(dual_a), EmpiricalMeasure(dual_b))
-        assert got == pytest.approx(math.sqrt(1.0 / lam) * dual_only, rel=1e-9)
-
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_cost_matches_the_broadcast_formula(self, d):
         # the in-place build keeps every bit of the (n, m, d) broadcast sum,
@@ -148,47 +130,6 @@ class TestW2Exact:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * 1000 * 1000 * 8
-
-    @staticmethod
-    def _broadcast_weighted(norm, P, Q):
-        """The weighted cost as it was first written: (n, m, k) broadcasts."""
-        dx = P[:, None, : norm.split] - Q[None, :, : norm.split]
-        dy = P[:, None, norm.split :] - Q[None, :, norm.split :]
-        return norm.a * np.sum(dx**2, axis=-1) + norm.b * np.sum(dy**2, axis=-1)
-
-    @pytest.mark.parametrize("d", [1, 2, 3, 5])
-    def test_weighted_cost_matches_the_broadcast_formula(self, d):
-        rng = np.random.default_rng(10 + d)
-        for split in sorted({0, 1, 2, d}):
-            norm = WeightedNorm(a=0.7, b=1.0 / 25.0, split=split)
-            for n, m in [(300, 200), (1000, 200), (37, 53), (1, 5), (5, 1)]:
-                P, Q = rng.standard_normal((n, d)), rng.standard_normal((m, d))
-                P[:3], Q[:2] = 0.0, -0.0
-                want = self._broadcast_weighted(norm, P, Q)
-                got = norm.sq_dist_matrix(P, Q)
-                assert got.shape == want.shape
-                assert np.array_equal(got, want)
-                assert got.tobytes() == want.tobytes()
-
-    def test_weighted_cost_build_holds_one_cost_matrix(self):
-        # the y block is summed a chunk of rows at a time, so the build
-        # peaks at the (n, n) cost plus two small chunks
-        rng = np.random.default_rng(1)
-        P, Q = rng.standard_normal((1000, 3)), rng.standard_normal((1000, 3))
-        norm = WeightedNorm(a=1.0, b=0.04, split=2)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            norm.sq_dist_matrix(P, Q)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.2 * 1000 * 1000 * 8
-
-    def test_weighted_norm_validation(self):
-        with pytest.raises(ValueError):
-            WeightedNorm(a=0.0, b=1.0, split=1)
 
 
 class TestW2Pool:
@@ -272,42 +213,6 @@ class TestMoments:
             moments(EmpiricalMeasure(np.array([1.0])))
 
 
-class TestPixelwiseVariance:
-    def test_constant_chain_zero(self):
-        samples = np.ones((10, 4))
-        np.testing.assert_array_equal(pixelwise_variance(samples), np.zeros(4))
-
-    def test_translation_invariance(self):
-        rng = np.random.default_rng(7)
-        s = rng.standard_normal((50, 6))
-        np.testing.assert_allclose(pixelwise_variance(s), pixelwise_variance(s + 3.0), atol=1e-12)
-
-    def test_monte_carlo_iid_pixels(self):
-        rng = np.random.default_rng(8)
-        s = 2.0 * rng.standard_normal((20_000, 3))
-        np.testing.assert_allclose(pixelwise_variance(s), 4.0, rtol=0.05)
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            pixelwise_variance(np.ones((1, 4)))
-
-    @pytest.mark.parametrize("n, width, d", [
-        (480, 16384, 16384), (480, 32768, 32768),  # tv_image 128x128: x and y clouds
-        (960, 3072, 1024), (960, 5120, 5120),  # tgv_image 32x32: u out of x, and y
-        (9, 1, 1), (200, 1, 1), (33, 3, 3), (129, 7, 7), (300, 1023, 1023), (5, 70001, 70001),
-        (200, 9, 3), (2, 2, 2),
-    ])
-    @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
-    def test_bits_of_numpy_two_pass_variance(self, n, width, d, layout):
-        # the CLI passes C-ordered clouds, whole or as a leading-column view
-        pts = 3.0 * np.random.default_rng(n + d).standard_normal((n, width))[:, :d] + 1.0
-        if layout == "fortran":
-            pts = np.asfortranarray(pts)
-        elif layout == "strided":
-            pts = np.repeat(pts, 2, axis=1)[:, ::2]
-        assert np.array_equal(pixelwise_variance(pts), pts.var(axis=0, ddof=1))
-
-
 @st.composite
 def _clouds_in_blocks(draw):
     """A random (n, dim) cloud, some of its columns constant, and a split
@@ -347,7 +252,7 @@ class TestRunningMoments:
         assert np.all(var[constant] == 0.0)
         assert not np.signbit(var).any()
         varying = np.setdiff1d(np.arange(cloud.shape[1]), constant)
-        np.testing.assert_allclose(var[varying], pixelwise_variance(cloud)[varying],
+        np.testing.assert_allclose(var[varying], cloud.var(axis=0, ddof=1)[varying],
                                    rtol=1e-12, atol=0)
 
     def test_needs_samples(self):

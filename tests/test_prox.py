@@ -1,5 +1,4 @@
-"""Proximal operators: closed forms, projections, Moreau identity,
-firm nonexpansiveness."""
+"""Proximal operators: closed forms, projections, firm nonexpansiveness."""
 
 import numpy as np
 import pytest
@@ -9,10 +8,8 @@ from hypothesis import strategies as st
 from pdlangevin.prox import (
     group_ball_projection,
     interval_projection,
-    prox_via_moreau,
     quadratic_data_prox,
     scaled_square_prox,
-    zero_prox,
 )
 
 
@@ -172,42 +169,12 @@ class TestGroupBallMatchesReference:
         np.testing.assert_array_equal(v, before)
 
 
-class TestMoreau:
-    def test_recovers_soft_threshold(self):
-        # f = alpha |.| has conjugate prox = interval projection
-        alpha, gamma = 1.5, 0.7
-        v = np.array([-3.0, -1.0, 0.0, 0.5, 2.0])
-        got = prox_via_moreau(interval_projection(alpha), v, gamma)
-        expect = np.sign(v) * np.maximum(np.abs(v) - gamma * alpha, 0.0)
-        np.testing.assert_allclose(got, expect, atol=1e-12)
-
-    def test_recovers_quadratic_prox(self):
-        c, gamma = 2.0, 0.3
-        v = np.array([1.0, -4.0])
-        got = prox_via_moreau(scaled_square_prox(1.0 / c), v, gamma)
-        np.testing.assert_allclose(got, scaled_square_prox(c).eval(v, gamma), atol=1e-12)
-
-    def test_decomposition_identity(self):
-        # v = prox_{gamma f}(v) + gamma * prox_{f*/gamma}(v/gamma)
-        alpha, gamma = 2.0, 1.3
-        fstar = interval_projection(alpha)
-        rng = np.random.default_rng(1)
-        v = 5.0 * rng.standard_normal(50)
-        p = prox_via_moreau(fstar, v, gamma)
-        np.testing.assert_allclose(p + gamma * fstar.eval(v / gamma, 1.0 / gamma), v, atol=1e-12)
-
-    def test_zero_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            prox_via_moreau(interval_projection(1.0), np.zeros(2), 0.0)
-
-
 def _all_prox_ops():
     return [
         scaled_square_prox(2.0),
         quadratic_data_prox(np.arange(4.0), 0.5),
         interval_projection(1.2),
         group_ball_projection(0.8, group_size=2),
-        zero_prox(),
     ]
 
 

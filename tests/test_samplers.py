@@ -343,7 +343,7 @@ class TestRunEnsemble:
         target = gauss1d_target(BENCH)
         p = SamplerParams(tau=1e-2, lam=1.0)
         store = run_ensemble(target, p, n_chains=1, n_steps=0,
-                             init=("point", np.array([2.0]), np.array([1.0])))
+                             init=(np.array([[2.0]]), np.array([[1.0]])))
         np.testing.assert_array_equal(store.xs, [[[2.0]]])
         np.testing.assert_array_equal(store.ys, [[[1.0]]])
 
@@ -468,7 +468,7 @@ class TestRunEnsemble:
         try:
             store = run_ensemble(
                 target, p, n_chains=n_chains, n_steps=n_steps, thinning=thinning,
-                init=("point", noisy, np.zeros(target.dim_dual)),
+                init=(np.tile(noisy, (n_chains, 1)), np.zeros((n_chains, target.dim_dual))),
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -478,12 +478,6 @@ class TestRunEnsemble:
         state_bytes = n_chains * (target.dim_primal + target.dim_dual) * 8
         noise_cap_bytes = (1 << 22) * 8
         assert peak <= kept_bytes + noise_cap_bytes + 6 * state_bytes
-
-    def test_gaussian_init(self):
-        target = gauss1d_target(BENCH)
-        p = SamplerParams(tau=1e-2, lam=1.0, seed=2)
-        store = run_ensemble(target, p, n_chains=500, n_steps=0, init=("gaussian", 2.0))
-        assert store.xs[0].std() == pytest.approx(2.0, rel=0.2)
 
 
 def _diverging_init(kind):
@@ -552,8 +546,10 @@ class TestBatchedEnsemble:
     ])
     def test_matches_separate_runs_on_gauss1d(self, kind, variant, seeds):
         target = gauss1d_target(BENCH)
+        rng = np.random.default_rng(1)
+        init = rng.standard_normal((5, 1)), rng.standard_normal((5, 1))
         run = functools.partial(run_ensemble, target, n_chains=5, n_steps=60, burn_in=10,
-                                thinning=3, kind=kind, init=("gaussian", 1.0))
+                                thinning=3, kind=kind, init=init)
         batch = _batch(variant, seeds)
         stores = run(batch)
         assert len(stores) == len(batch)
@@ -601,7 +597,7 @@ class TestBatchedEnsemble:
         assert X.shape == (3, 4, 1) and Y.shape == (3, 4, 1)
         for j, store in enumerate(stores):
             np.testing.assert_array_equal(X[j], store.final_x)
-            np.testing.assert_array_equal(Y[j], store.final_y)
+            np.testing.assert_array_equal(Y[j], store.ys[-1])
 
     def test_diverging_point_is_named(self):
         # every point starts from _diverging_init's chains; only point 1's
@@ -702,7 +698,8 @@ class TestPipelinedNoise:
         threads = []
         store = run_ensemble(
             target, SamplerParams(tau=0.003, lam=10.0, seed=5), n_chains=n_chains, n_steps=30,
-            init=("point", noisy, np.zeros(target.dim_dual)), noise_block=noise_block,
+            init=(np.tile(noisy, (n_chains, 1)), np.zeros((n_chains, target.dim_dual))),
+            noise_block=noise_block,
             checkpoints=[15], on_checkpoint=lambda n, X, Y: threads.append(threading.active_count()),
         )
         return store, threads[0]
