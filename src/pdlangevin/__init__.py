@@ -36,6 +36,7 @@ from .metrics import (
     EmpiricalMeasure,
     RunningMoments,
     moments,
+    pixelwise_variance,
     psnr,
     w2_1d,
     w2_exact,

@@ -13,6 +13,7 @@ from pdlangevin.metrics import (
     EmpiricalMeasure,
     RunningMoments,
     moments,
+    pixelwise_variance,
     _sq_dist_matrix,
     psnr,
     w2_1d,
@@ -211,6 +212,42 @@ class TestMoments:
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             moments(EmpiricalMeasure(np.array([1.0])))
+
+
+class TestPixelwiseVariance:
+    def test_constant_chain_zero(self):
+        samples = np.ones((10, 4))
+        np.testing.assert_array_equal(pixelwise_variance(samples), np.zeros(4))
+
+    def test_translation_invariance(self):
+        rng = np.random.default_rng(7)
+        s = rng.standard_normal((50, 6))
+        np.testing.assert_allclose(pixelwise_variance(s), pixelwise_variance(s + 3.0), atol=1e-12)
+
+    def test_monte_carlo_iid_pixels(self):
+        rng = np.random.default_rng(8)
+        s = 2.0 * rng.standard_normal((20_000, 3))
+        np.testing.assert_allclose(pixelwise_variance(s), 4.0, rtol=0.05)
+
+    def test_too_few_samples(self):
+        with pytest.raises(ValueError):
+            pixelwise_variance(np.ones((1, 4)))
+
+    @pytest.mark.parametrize("n, width, d", [
+        (480, 16384, 16384), (480, 32768, 32768),  # tv_image 128x128: x and y clouds
+        (960, 3072, 1024), (960, 5120, 5120),  # tgv_image 32x32: u out of x, and y
+        (9, 1, 1), (200, 1, 1), (33, 3, 3), (129, 7, 7), (300, 1023, 1023), (5, 70001, 70001),
+        (200, 9, 3), (2, 2, 2),
+    ])
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+    def test_bits_of_numpy_two_pass_variance(self, n, width, d, layout):
+        # the CLI passes C-ordered clouds, whole or as a leading-column view
+        pts = 3.0 * np.random.default_rng(n + d).standard_normal((n, width))[:, :d] + 1.0
+        if layout == "fortran":
+            pts = np.asfortranarray(pts)
+        elif layout == "strided":
+            pts = np.repeat(pts, 2, axis=1)[:, ::2]
+        assert np.array_equal(pixelwise_variance(pts), pts.var(axis=0, ddof=1))
 
 
 @st.composite
