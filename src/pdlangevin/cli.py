@@ -218,6 +218,9 @@ class ScenarioConfig:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if self.k == 0:
             raise ConfigError("k must be nonzero")
+        for f in dc_fields(self):
+            if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("n_chains", "n_steps", "thinning", "width", "height", "n_checkpoints",
                      "ref_samples"):
             if getattr(self, name) < 1:

@@ -1,17 +1,17 @@
 """Proximal operators and projections shared by all samplers.
 
 Each operator has one form, a factory: it checks once what its arguments
-fix and returns a :class:`ProxOperator` whose ``eval(v, gamma)`` does only
-the arithmetic (projections ignore the step size). Every formula is
-elementwise, so ``gamma`` may be an array that broadcasts against ``v``,
-such as the per-point step-size column of a batched run. No operator checks its
-input for non-finite entries: the samplers' driver checks every state.
+fix and returns a :class:`ProxOperator`, whose ``at(gamma)`` settles once
+what a step size fixes, for a map ``v -> prox`` that does only the
+arithmetic (projections ignore the step size). Every formula is
+elementwise, so ``gamma`` may be a batched run's array of step sizes. No
+operator checks its input for non-finite entries: the driver does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
@@ -22,8 +22,8 @@ class ProxOperator:
 
     Attributes
     ----------
-    eval : callable
-        Maps ``(point, gamma)`` to the prox at step size ``gamma``.
+    at : callable
+        Binds a step size: ``at(gamma)`` maps a point to its prox at ``gamma``.
     modulus : float
         Strong-convexity constant of the underlying function; 0 if unknown
         or merely convex.
@@ -31,25 +31,24 @@ class ProxOperator:
         Human-readable name, used in validation reports.
     """
 
-    eval: Callable[[np.ndarray, float], np.ndarray]
+    at: Callable[[Union[float, np.ndarray]], Callable[[np.ndarray], np.ndarray]]
     modulus: float = 0.0
     label: str = "prox"
 
 
 def scaled_square_prox(c: float) -> ProxOperator:
     """Prox of ``x -> ||x||^2 / (2c)``, the shrinkage ``v / (1 + gamma/c)``,
-    with modulus 1/c."""
+    with modulus 1/c; ``at`` rejects a negative ``gamma``."""
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
 
-    def eval(v, gamma):
-        # a step-size column holds one entry per point: iterating it in
-        # Python is 3x cheaper than the reduction gamma.min()
-        if (min(gamma.flat) if isinstance(gamma, np.ndarray) else gamma) < 0:
+    def at(gamma):
+        if np.any(np.less(gamma, 0.0)):
             raise ValueError(f"gamma must be nonnegative, got {gamma}")
-        return v / (1.0 + gamma / c)
+        denominator = 1.0 + gamma / c
+        return lambda v: v / denominator
 
-    return ProxOperator(eval=eval, modulus=1.0 / c, label=f"scaled_square(c={c})")
+    return ProxOperator(at=at, modulus=1.0 / c, label=f"scaled_square(c={c})")
 
 
 def quadratic_data_prox(target, var: float) -> ProxOperator:
@@ -59,15 +58,20 @@ def quadratic_data_prox(target, var: float) -> ProxOperator:
     if var <= 0:
         raise ValueError(f"var must be positive, got {var}")
 
-    def eval(v, gamma):
-        if target.ndim > 0 and v.shape[v.ndim - target.ndim :] != target.shape:
-            raise ValueError(f"shape mismatch: v {v.shape} vs target {target.shape}")
+    def at(gamma):
         r = gamma / var
-        out = v + r * target
-        out /= 1.0 + r
-        return out
+        pull, denominator = r * target, 1.0 + r
 
-    return ProxOperator(eval=eval, modulus=1.0 / var, label=f"quadratic_data(var={var})")
+        def prox(v):
+            if target.ndim > 0 and v.shape[v.ndim - target.ndim :] != target.shape:
+                raise ValueError(f"shape mismatch: v {v.shape} vs target {target.shape}")
+            out = v + pull
+            out /= denominator
+            return out
+
+        return prox
+
+    return ProxOperator(at=at, modulus=1.0 / var, label=f"quadratic_data(var={var})")
 
 
 def interval_projection(alpha: float) -> ProxOperator:
@@ -76,7 +80,7 @@ def interval_projection(alpha: float) -> ProxOperator:
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     return ProxOperator(
-        eval=lambda v, gamma: np.clip(v, -alpha, alpha),
+        at=lambda gamma: lambda v: np.clip(v, -alpha, alpha),
         modulus=0.0,
         label=f"interval_projection(alpha={alpha})",
     )
@@ -96,7 +100,7 @@ def group_ball_projection(alpha: float, group_size: int = 2) -> ProxOperator:
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
 
-    def eval(v, gamma):
+    def project(v):
         v = np.asarray(v, dtype=float)
         if v.shape[-1] % group_size != 0:
             raise ValueError(
@@ -120,7 +124,7 @@ def group_ball_projection(alpha: float, group_size: int = 2) -> ProxOperator:
         return out.reshape(v.shape)
 
     return ProxOperator(
-        eval=eval,
+        at=lambda gamma: project,
         modulus=0.0,
         label=f"group_ball_projection(alpha={alpha}, group={group_size})",
     )

@@ -196,6 +196,8 @@ def _ulpda_kernel(target: TargetSpec, shared: SamplerParams, c: dict) -> Kernel:
     tau, sigma, theta = c["tau"], c["sigma"], c["theta"]
     root_2tau, root_tau = c["root_2tau"], c["root_tau"]
     K, variant = target.K, shared.noise_variant
+    fstar_prox, g_prox = target.fstar_prox.at(sigma), target.g_prox.at(tau)
+    extrapolate = not np.all(np.equal(theta, 1.0))  # x * 1.0 is x, NaN and -0.0 too
     if variant == "general":
         B_XT, B_YT = np.asarray(shared.B_X).T, np.asarray(shared.B_Y).T
 
@@ -204,22 +206,23 @@ def _ulpda_kernel(target: TargetSpec, shared: SamplerParams, c: dict) -> Kernel:
         # noise and what K or a prox returns may be shared with the caller.
         # IEEE sums and products commute, so swapped operands change no bit.
         x_theta = state.x - state.x_prev
-        x_theta *= theta
+        if extrapolate:
+            x_theta *= theta
         x_theta += state.x
         dual_arg = sigma * K.apply(x_theta)
         dual_arg += state.y
-        y_new = target.fstar_prox.eval(dual_arg, sigma)
+        y_new = fstar_prox(dual_arg)
         drift_arg = tau * K.adjoint(y_new)
         np.subtract(state.x, drift_arg, out=drift_arg)
         if variant == "outer":
             x_new = root_2tau * xi
-            x_new += target.g_prox.eval(drift_arg, tau)
+            x_new += g_prox(drift_arg)
         elif variant == "inner":
             drift_arg += root_2tau * xi
-            x_new = target.g_prox.eval(drift_arg, tau)
+            x_new = g_prox(drift_arg)
         else:  # general: xi is a joint (d + m)-dimensional draw
             x_new = root_tau * (xi @ B_XT)
-            x_new += target.g_prox.eval(drift_arg, tau)
+            x_new += g_prox(drift_arg)
             y_new = y_new + root_tau * (xi @ B_YT)
         return ChainState(x=x_new, y=y_new, x_prev=state.x, n=state.n + 1)
 
@@ -246,10 +249,11 @@ def _prox_sub_kernel(target: TargetSpec, shared: SamplerParams, c: dict) -> Kern
     if target.f_subgrad is None:
         raise ValueError("prox_sub requires f_subgrad")
     K, tau, root_2tau = target.K, c["tau"], c["root_2tau"]
+    g_prox = target.g_prox.at(tau)
 
     def step(state: ChainState, xi: np.ndarray) -> ChainState:
         y_new = target.f_subgrad(K.apply(state.x))
-        drift = target.g_prox.eval(state.x - tau * K.adjoint(y_new), tau)
+        drift = g_prox(state.x - tau * K.adjoint(y_new))
         x_new = drift + root_2tau * xi
         return ChainState(x=x_new, y=y_new, x_prev=state.x, n=state.n + 1)
 
@@ -306,17 +310,17 @@ def _same_block(a, b) -> bool:
     return a is b or (a is not None and b is not None and np.array_equal(a, b))
 
 
-def _coefficients(points: Sequence[SamplerParams], batched: bool) -> dict:
-    """Each point's step sizes and noise scales: scalars for an unbatched
-    run, (P, 1, 1) columns for a batched one."""
-    per_point = [
+def _coefficients(points: Sequence[SamplerParams], rows: Optional[tuple[int, ...]]) -> dict:
+    """Each point's step sizes and noise scales: Python floats for an unbatched
+    run (``rows`` None), else ``rows + (1,)`` arrays, point j's in row block j."""
+    each = [
         dict(tau=p.tau, sigma=p.sigma, theta=p.theta, lam=p.lam,
              root_2tau=math.sqrt(2.0 * p.tau), root_tau=math.sqrt(p.tau))
         for p in points
     ]
-    if not batched:
-        return per_point[0]
-    return {k: np.array([c[k] for c in per_point]).reshape(-1, 1, 1) for k in per_point[0]}
+    if rows is None:
+        return each[0]
+    return {k: np.repeat([c[k] for c in each], rows[1]).reshape(rows + (1,)) for k in each[0]}
 
 
 def make_step(kind: str, target: TargetSpec, params: Params) -> Kernel:
@@ -324,22 +328,28 @@ def make_step(kind: str, target: TargetSpec, params: Params) -> Kernel:
 
     ``kind`` is "ulpda" (variant from ``params.noise_variant``), "ula",
     "prox_sub" or "modified_sde". Everything fixed for the run is settled
-    here, once: the oracle checks (a missing oracle raises ``ValueError``),
-    the noise scales and the noise blocks' transposes. The kernel is a
-    deterministic map of the state and a standard-normal draw ``xi`` of
-    shape ``state.x.shape[:-1] + (step.noise_dim,)``; it does not check
-    the dimensions of what it is given and never writes into the state,
-    the noise, or anything K or a prox returns.
+    here, once: the oracle checks, the proxes bound to their step sizes
+    (a missing oracle or a step size a prox rejects raises ``ValueError``)
+    and the noise scales. The kernel maps the state and a standard-normal draw
+    ``xi`` of shape ``state.x.shape[:-1] + (step.noise_dim,)`` to the next
+    state; it does not check the dimensions of what it is given and never
+    writes into the state, the noise, or anything K or a prox returns.
 
     ``params`` is one :class:`SamplerParams`, whose step sizes enter as
     scalars, or a sequence of P of them, one per point of a batched run.
     A batched kernel takes states of shape (P, n_rows, dim), point j in
     row block j, and holds tau, sigma, theta, lam and the noise scales as
-    (P, 1, 1) columns, made once here. A column times an array gives each
-    element the IEEE result the scalar gives, so every point's chains are
-    bit-identical to an unbatched run of that point. The points must share
-    the noise variant and the noise blocks (``ValueError`` otherwise).
+    (P, 1, 1) columns; a batched run's kernel holds them as (P, n_chains,
+    1) arrays, made once, so that its products have operands of one shape.
+    Each element gets the IEEE result the scalar gives, so every point's
+    chains are bit-identical to an unbatched run of that point. The points
+    must share the noise variant and blocks (``ValueError`` otherwise).
     """
+    return _make_step(kind, target, params, 1)
+
+
+def _make_step(kind: str, target: TargetSpec, params: Params, n_rows: int) -> Kernel:
+    """:func:`make_step`, holding a batched kernel's step sizes as (P, n_rows, 1) arrays."""
     if kind not in _KERNELS:
         raise ValueError(f"unknown sampler kind {kind!r}; choose from {tuple(_KERNELS)}")
     points = _points(params)
@@ -349,8 +359,8 @@ def make_step(kind: str, target: TargetSpec, params: Params) -> Kernel:
             _same_block(p.B_X, shared.B_X) and _same_block(p.B_Y, shared.B_Y)
         ):
             raise ValueError("the points of a batched run must share the noise variant and blocks")
-    coefficients = _coefficients(points, batched=not isinstance(params, SamplerParams))
-    step = _KERNELS[kind](target, shared, coefficients)
+    rows = None if isinstance(params, SamplerParams) else (len(points), n_rows)
+    step = _KERNELS[kind](target, shared, _coefficients(points, rows))
     general = kind == "ulpda" and shared.noise_variant == "general"
     step.noise_dim = target.dim_primal + (target.dim_dual if general else 0)
     return step
@@ -453,9 +463,9 @@ def _drive(
     that raises re-raises here unchanged, and the worker has exited when
     ``_drive`` returns or raises.
 
-    Every state is checked before ``on_step`` sees it: one sum, and a
-    search of the rows only when that sum is not finite (a sum of finite
-    entries may overflow). The first non-finite row raises
+    Every state is checked before ``on_step`` sees it: the sums of x and
+    of y, and a search of the rows only when one of them is not finite (a
+    sum of finite entries may overflow). The first non-finite row raises
     :class:`DivergenceError`.
     """
     rows, dim = state.x.shape[:-1], step.noise_dim
@@ -479,7 +489,7 @@ def _drive(
         return np.broadcast_to(buffer[:nb].reshape((nb,) + drawn), (nb,) + rows + (dim,))
 
     def visit(n: int, s: ChainState) -> None:
-        if not np.isfinite(s.x.sum() + s.y.sum()):
+        if not (math.isfinite(s.x.sum()) and math.isfinite(s.y.sum())):
             bad = ~(np.isfinite(s.x).all(axis=-1) & np.isfinite(s.y).all(axis=-1))
             if bad.any():
                 *point, chain = (int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
@@ -545,7 +555,7 @@ def _prepare_ensemble(
     points = _points(params)
     for p in points:
         validate_params(target, p)
-    step = make_step(kind, target, params)
+    step = _make_step(kind, target, params, n_chains)
     batch = () if isinstance(params, SamplerParams) else (len(points),)
     if len({p.seed for p in points}) == 1:
         rngs = _chain_rngs(points[0].seed, n_chains)

@@ -359,7 +359,7 @@ def test_core_property_suite():
         for _ in range(50):
             u = rng.standard_normal(6)
             v = rng.standard_normal(6)
-            pu, pv = op.eval(u, 0.7), op.eval(v, 0.7)
+            pu, pv = op.at(0.7)(u), op.at(0.7)(v)
             assert float((pu - pv) @ (pu - pv)) <= float((pu - pv) @ (u - v)) + 1e-12
 
     # Moreau decomposition for the quadratic pair f(x) = x^2 / (2c)
@@ -368,7 +368,7 @@ def test_core_property_suite():
     for _ in range(50):
         v = rng.standard_normal(4)
         np.testing.assert_allclose(
-            f_prox.eval(v, gamma) + gamma * fstar_prox.eval(v / gamma, 1.0 / gamma),
+            f_prox.at(gamma)(v) + gamma * fstar_prox.at(1.0 / gamma)(v / gamma),
             v,
             rtol=1e-12,
         )

@@ -365,12 +365,29 @@ class TestMainExitCodes:
         ("tv_image", "sigma_eps=0"),
         ("gauss1d", "tau=-1"),
         ("gauss1d", "tau=nan"),
+        ("tv2pixel", "x_obs1=nan"),
+        ("tv2pixel", "x_obs2=inf"),
+        ("tv2pixel", "ref_tau_factor=inf"),
+        ("tv2pixel", "sigma_eps=inf"),
+        ("gauss1d", "lam=inf"),
+        ("gauss1d", "k=inf"),
+        ("gauss1d", "c_f=inf"),
     ])
     def test_value_out_of_range_is_a_config_error(self, scenario, override, tmp_path, capsys):
         code = main(["run", f"scenario={scenario}", override, "width=8", "height=8",
                      "n_chains=2", "n_steps=2", f"output_dir={tmp_path}/out"])
         assert code == 2
         assert f"config error: {override.split('=')[0]} must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["x_obs1=nan", "ref_tau_factor=inf"])
+    def test_non_finite_value_gets_the_same_exit_code_from_validate_and_run(
+            self, override, tmp_path, capsys):
+        args = ["scenario=tv2pixel", override, "n_chains=2", "n_steps=10"]
+        codes = {command: main([command, *args, f"output_dir={tmp_path}/{command}"])
+                 for command in ("validate", "run")}
+        assert codes == {"validate": 2, "run": 2}
+        assert capsys.readouterr().err.count(f"{override.split('=')[0]} must be finite") == 2
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("args, field", [
         (["run", "scenario=tv2pixel", "n_checkpoints=0"], "n_checkpoints"),

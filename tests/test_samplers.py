@@ -21,6 +21,7 @@ from pdlangevin.samplers import (
     TargetSpec,
     _PIPELINE_MIN_DRAW,
     _drive,
+    _make_step,
     make_step,
     run_ensemble,
     validate_params,
@@ -105,7 +106,7 @@ class TestUlpdaStep:
         out = make_step("ulpda", target, p)(state, np.zeros(1))
         assert out.y[0] == pytest.approx(0.4, abs=1e-10)
         # primal becomes a proximal gradient step on g with the frozen dual
-        drift = target.g_prox.eval(state.x - p.tau * target.K.adjoint(out.y), p.tau)
+        drift = target.g_prox.at(p.tau)(state.x - p.tau * target.K.adjoint(out.y))
         np.testing.assert_allclose(out.x, drift, atol=1e-12)
 
     def test_inner_noise_passes_through_prox(self):
@@ -119,7 +120,7 @@ class TestUlpdaStep:
         b = make_step("ulpda", target, p_in)(state, xi)
         # inner variant shrinks the noise by the same prox scaling factor
         shrink = 1.0 / (1.0 + tau / BENCH.c_g)
-        drift = target.g_prox.eval(state.x - tau * target.K.adjoint(a.y), tau)
+        drift = target.g_prox.at(tau)(state.x - tau * target.K.adjoint(a.y))
         np.testing.assert_allclose(b.x, drift + shrink * np.sqrt(2 * tau) * xi, atol=1e-14)
         np.testing.assert_array_equal(a.y, b.y)
 
@@ -156,15 +157,15 @@ def _ref_ulpda_step(state, target, params, xi):
     tau, sigma, theta = params.tau, params.sigma, params.theta
     K = target.K
     x_theta = state.x + theta * (state.x - state.x_prev)
-    y_new = target.fstar_prox.eval(state.y + sigma * K.apply(x_theta), sigma)
+    y_new = target.fstar_prox.at(sigma)(state.y + sigma * K.apply(x_theta))
     drift_arg = state.x - tau * K.adjoint(y_new)
     if params.noise_variant == "outer":
-        x_new = target.g_prox.eval(drift_arg, tau) + math.sqrt(2.0 * tau) * xi
+        x_new = target.g_prox.at(tau)(drift_arg) + math.sqrt(2.0 * tau) * xi
     elif params.noise_variant == "inner":
-        x_new = target.g_prox.eval(drift_arg + math.sqrt(2.0 * tau) * xi, tau)
+        x_new = target.g_prox.at(tau)(drift_arg + math.sqrt(2.0 * tau) * xi)
     else:
         root_tau = math.sqrt(tau)
-        x_new = target.g_prox.eval(drift_arg, tau) + root_tau * (xi @ np.asarray(params.B_X).T)
+        x_new = target.g_prox.at(tau)(drift_arg) + root_tau * (xi @ np.asarray(params.B_X).T)
         y_new = y_new + root_tau * (xi @ np.asarray(params.B_Y).T)
     return ChainState(x=x_new, y=y_new, x_prev=state.x, n=state.n + 1)
 
@@ -189,7 +190,7 @@ def _spy_target(d, spy):
     """K = I and identity proxes that hand back their input: any array K or
     a prox sees or returns is one the caller may still hold."""
     K = LinearMap(apply=spy, adjoint=spy, dim_in=d, dim_out=d)
-    identity = ProxOperator(eval=spy, label="identity")
+    identity = ProxOperator(at=lambda gamma: spy, label="identity")
     return TargetSpec(g_prox=identity, fstar_prox=identity, K=K)
 
 
@@ -514,6 +515,14 @@ class TestDrive:
             with pytest.raises(DivergenceError, match=f"at step {err.step}$"):
                 run(n_steps=err.step)
 
+    def test_non_finite_dual_with_a_finite_primal_is_caught(self):
+        # the driver sums x and y separately: a finite x sum must not hide y
+        X, Y = np.zeros((3, 1)), np.array([[0.0], [np.inf], [0.0]])
+        with pytest.raises(DivergenceError) as caught:
+            run_ensemble(gauss1d_target(BENCH), SamplerParams(tau=1e-2, lam=1.0),
+                         n_chains=3, n_steps=2, init=(X, Y))
+        assert (caught.value.chain, caught.value.step) == (1, 0)
+
     def test_finite_state_whose_sum_overflows_is_not_flagged(self):
         # the sums over x and y are +inf and -inf, their total NaN, yet every
         # entry is finite
@@ -636,6 +645,56 @@ class TestBatchedEnsemble:
         assert make_step("ulpda", target, general).noise_dim == 2
         with pytest.raises(ValueError, match="at least one"):
             make_step("ulpda", target, [])
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_theta_one_at_every_point_matches_separate_runs(self, variant):
+        # with theta = 1 everywhere the kernel skips the extrapolation's product
+        target = gauss1d_target(BENCH)
+        blocks = {}
+        if variant == "general":
+            blocks = dict(B_X=np.array([[math.sqrt(2.0), 0.3]]), B_Y=np.array([[0.1, -0.2]]))
+        batch = [SamplerParams(tau=tau, lam=lam, theta=1.0, noise_variant=variant, seed=3,
+                               **blocks) for tau, lam, _ in _POINTS]
+        rng = np.random.default_rng(2)
+        init = rng.standard_normal((5, 1)), rng.standard_normal((5, 1))
+        run = functools.partial(run_ensemble, target, n_chains=5, n_steps=60, init=init)
+        for p, store in zip(batch, run(batch)):
+            alone = run(p)
+            np.testing.assert_array_equal(store.xs, alone.xs)
+            np.testing.assert_array_equal(store.ys, alone.ys)
+
+    @pytest.mark.parametrize("kind", ["ulpda", "ula", "prox_sub", "modified_sde"])
+    def test_one_kernel_steps_each_chain_count_with_its_bits(self, kind):
+        # make_step's batched kernel holds (P, 1, 1) columns, which serve
+        # any chain count; a run's kernel holds (P, n_chains, 1) arrays
+        target = gauss1d_target(BENCH)
+        batch = _batch()
+        step = make_step(kind, target, batch)
+        rng = np.random.default_rng(6)
+        for n_chains in (4, 2, 4):
+            x, y = rng.standard_normal((3, n_chains, 1)), rng.standard_normal((3, n_chains, 1))
+            run_step = _make_step(kind, target, batch, n_chains)
+            state = run_state = ChainState.initial(x, y)
+            alone = [ChainState.initial(x[j], y[j]) for j in range(3)]
+            for _ in range(3):
+                xi = rng.standard_normal((3, n_chains, 1))
+                state, run_state = step(state, xi), run_step(run_state, xi)
+                alone = [make_step(kind, target, p)(a, xi[j])
+                         for j, (p, a) in enumerate(zip(batch, alone))]
+                for j, a in enumerate(alone):
+                    for s in (state, run_state):
+                        np.testing.assert_array_equal(s.x[j], a.x)
+                        np.testing.assert_array_equal(s.y[j], a.y)
+
+    def test_negative_step_size_raises_when_the_kernel_is_built(self):
+        # SamplerParams rejects a nonpositive lam, so one is forced past it:
+        # the dual prox is bound to sigma = lam * tau before any step
+        target = gauss1d_target(BENCH)
+        bad = SamplerParams(tau=1e-2, lam=1.0)
+        object.__setattr__(bad, "lam", -1.0)
+        for params in (bad, [SamplerParams(tau=1e-2, lam=1.0), bad]):
+            with pytest.raises(ValueError, match="gamma must be nonnegative"):
+                make_step("ulpda", target, params)
 
     def test_every_point_is_validated_before_stepping(self):
         target = gauss1d_target(BENCH)
