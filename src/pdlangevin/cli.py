@@ -27,18 +27,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .analytic import GaussModel1D, stationary_cov_pd, target_variance
-from .coupling import _stationary_flag, sweep
-from .metrics import EmpiricalMeasure, RunningMoments, moments, psnr, w2_exact, w2_pool
+from .coupling import sweep
+from .metrics import EmpiricalMeasure, RunningMoments, moments, psnr, stationary_flag, w2_exact, w2_pool
 from .models import gauss1d_target, tgv_image_target, tv2pixel_target, tv_image_target
 from .samplers import (
-    ChainState,
+    KeepSamples,
     SamplerParams,
     TargetSpec,
     ValidationReport,
-    _drive,
-    _kept_steps,
-    _prepare_ensemble,
+    kept_steps,
     make_step,
+    prepare_run,
     run_ensemble,
     validate_params,
 )
@@ -63,9 +62,6 @@ class ImageGrid:
         if not np.all(np.isfinite(a)):
             raise ValueError("intensities must be finite")
         self.intensities = a
-
-    def as_array2d(self) -> np.ndarray:
-        return self.intensities.reshape(self.height, self.width)
 
 
 def load_image_pgm(path) -> ImageGrid:
@@ -227,12 +223,14 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.burn_in < 0:
             raise ConfigError("burn_in must be nonnegative")
-        kept = len(_kept_steps(self.n_steps, self.burn_in, self.thinning))
+        kept = len(kept_steps(self.n_steps, self.burn_in, self.thinning))
         if self.n_chains * kept < 2:
             raise ConfigError(
                 f"n_chains * kept steps must be >= 2 for a variance, got "
                 f"{self.n_chains} * {kept}: add chains or lower burn_in"
             )
+        if self.scenario == "sweep":  # before run_scenario makes output_dir
+            _sweep_values(self)
 
 
 _CONFIG_TYPES = {f.name: f.type for f in dc_fields(ScenarioConfig)}
@@ -459,59 +457,55 @@ def _run_tv2pixel(cfg: ScenarioConfig, prob: _Problem, outdir: Path) -> dict:
     )
     reference = EmpiricalMeasure(ref_store.final_x)
 
+    # a checkpoint counts steps taken, so step 0 is none
     checkpoints = np.unique(
         np.linspace(cfg.n_steps / cfg.n_checkpoints, cfg.n_steps, cfg.n_checkpoints).astype(int)
     )
+    checkpoints = checkpoints[checkpoints > 0].tolist()
     n = min(cfg.n_chains, reference.n)
     nu = EmpiricalMeasure(reference.points[:n])
+    run = prepare_run(target, params, cfg.n_chains, cfg.n_steps, cfg.burn_in, cfg.thinning,
+                      prob.kind)
+    samples = KeepSamples(run, dual=False)
     solves = []
 
-    with w2_pool(checkpoints.size) as pool:
+    with w2_pool(len(checkpoints)) as pool:
 
-        def on_checkpoint(step, X, Y):
-            mu = EmpiricalMeasure(X[:n].copy())
-            solves.append((step, pool.submit(w2_exact, mu, nu, cap=max(2000, n))))
+        def solve(i, s):
+            mu = EmpiricalMeasure(s.x[:n].copy())
+            solves.append((checkpoints[i], pool.submit(w2_exact, mu, nu, cap=max(2000, n))))
 
-        store = run_ensemble(
-            target, params, n_chains=cfg.n_chains, n_steps=cfg.n_steps,
-            burn_in=cfg.burn_in, thinning=cfg.thinning, kind=prob.kind,
-            checkpoints=checkpoints.tolist(), on_checkpoint=on_checkpoint,
-        )
-        curve = [(step, solve.result()) for step, solve in solves]
-    stationary = _stationary_flag(store.xs)
+        run.drive(samples, (checkpoints, solve))
+        curve = [(step, future.result()) for step, future in solves]
     _write_csv(outdir / "w2_vs_time.csv", ["step", "w2"], curve)
-    _write_moments(outdir, x=store.x_samples)
-    return {"final_w2": curve[-1][1] if curve else None, "stationary": bool(stationary)}
+    _write_moments(outdir, x=samples.xs.reshape(-1, samples.xs.shape[-1]))
+    return {"final_w2": curve[-1][1] if curve else None,
+            "stationary": bool(stationary_flag(samples.xs))}
 
 
 def _run_image(cfg: ScenarioConfig, prob: _Problem, outdir: Path) -> dict:
     """TV or TGV denoising run: the posterior mean (MMSE) image, the primal
     variance map over the image pixels and the mean dual variance.
 
-    No sample is kept. On each kept step (see ``samplers._kept_steps``)
-    the driver's hook feeds the image pixels of every chain and the dual
-    state to two :class:`~pdlangevin.metrics.RunningMoments`, so memory
-    does not grow with the number of kept steps. The mean has the bits of
-    the kept cloud's ``mean(axis=0)``; the variances agree with the
-    two-pass ``var(axis=0, ddof=1)`` of that cloud to rounding.
+    No sample is kept. The run's reducers are two
+    :class:`~pdlangevin.metrics.RunningMoments`, which take the image pixels
+    of every chain and the dual state on each kept step (see
+    ``samplers.kept_steps``), so memory does not grow with the number of
+    kept steps. The mean has the bits of the kept cloud's ``mean(axis=0)``;
+    the variances agree with the two-pass ``var(axis=0, ddof=1)`` of that
+    cloud to rounding.
     """
     target, clean, noisy = prob.target, prob.clean, prob.noisy
     width, height = noisy.width, noisy.height
     d = width * height
     x0 = np.zeros(target.dim_primal)  # TGV: the image pixels, then w = 0
     x0[:d] = noisy.intensities
-    step, state, rngs, kept_steps = _prepare_ensemble(
+    run = prepare_run(
         target, prob.params, cfg.n_chains, cfg.n_steps, cfg.burn_in, cfg.thinning, prob.kind,
         (np.tile(x0, (cfg.n_chains, 1)), np.zeros((cfg.n_chains, target.dim_dual))),
     )
-    primal, dual = RunningMoments(), RunningMoments()
-
-    def reduce(n: int, s: ChainState) -> None:
-        if n in kept_steps:
-            primal.add(s.x[:, :d])
-            dual.add(s.y)
-
-    _drive(step, state, rngs, cfg.n_steps, reduce)
+    primal, dual = RunningMoments(lambda s: s.x[:, :d]), RunningMoments(lambda s: s.y)
+    run.drive(primal, dual)
     mmse, var, dual_var = primal.mean(), primal.variance(), dual.variance()
 
     save_image_pgm(outdir / "mmse.pgm", ImageGrid(width, height, mmse))
@@ -552,6 +546,8 @@ def _sweep_values(cfg: ScenarioConfig) -> list[float]:
         raise ConfigError(f"bad sweep_values {cfg.sweep_values!r}") from e
     if not values:
         raise ConfigError("sweep_values is empty")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"sweep_values must be finite, got {cfg.sweep_values!r}")
     pairs = list(zip(values, values[1:]))
     if cfg.sweep_kind == "lambda":
         if any(b <= a for a, b in pairs):
@@ -635,15 +631,10 @@ def _config_and_overrides(args) -> tuple:
 
 
 def _cmd_run(args) -> int:
+    """``run``, or ``sweep``: a run of the sweep scenario."""
     cfg = parse_config(*_config_and_overrides(args))
-    run_scenario(cfg)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    cfg = parse_config(*_config_and_overrides(args))
-    cfg.scenario = "sweep"
-    cfg.validate()
+    if args.command == "sweep":
+        cfg.scenario = "sweep"
     run_scenario(cfg)
     return 0
 
@@ -690,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (("run", _cmd_run), ("sweep", _cmd_sweep), ("validate", _cmd_validate)):
+    for name, fn in (("run", _cmd_run), ("sweep", _cmd_run), ("validate", _cmd_validate)):
         p = sub.add_parser(name)
         p.add_argument("config", nargs="?", default=None, help="flat key=value config file")
         p.add_argument("overrides", nargs="*", default=[], help="key=value overrides")

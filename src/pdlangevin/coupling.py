@@ -1,7 +1,7 @@
 """Coupled-chain harnesses for contraction and bias measurements.
 
-Runs pairs of chains driven by identical noise (a two-chain run of the
-samplers' driver, both rows fed one stream) and records the weighted
+Runs pairs of chains driven by identical noise (a two-row
+``samplers.Run`` whose rows share one stream) and records the weighted
 distance quantities whose per-step decay certifies discrete-time
 contraction; also provides one sweep over a grid of sampler parameters
 (step sizes, step ratios) that measures the stationary Wasserstein gap
@@ -11,21 +11,19 @@ against a reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .analytic import gaussian_w2
-from .metrics import EmpiricalMeasure, w2_1d, w2_exact, w2_pool
+from .metrics import EmpiricalMeasure, stationary_flag, w2_1d, w2_exact, w2_pool
 from .samplers import (
     ChainState,
+    KeepSamples,
     SamplerParams,
     TargetSpec,
-    _drive,
-    _initial_state,
-    _prepare_ensemble,
-    make_step,
+    prepare_run,
     validate_params,
 )
 
@@ -65,7 +63,8 @@ def run_coupled_pair(
     """Advance two chains with shared noise draws and record their
     weighted distances at every step (index 0 is the initialization).
 
-    Both chains take every draw of the one stream
+    The pair is a two-row run of :func:`samplers.prepare_run`, every step
+    kept, whose rows both take every draw of the one stream
     ``Philox(SeedSequence(params.seed))``.
     """
     report = validate_params(target, params)
@@ -73,13 +72,13 @@ def run_coupled_pair(
         raise ValueError(
             "step sizes satisfy no supported regime: " + "; ".join(report.notes)
         )
-    step = make_step(kind, target, params)
     tau, sigma = params.tau, params.sigma
     omega_g = target.g_prox.modulus
     omega_fs = target.fstar_prox.modulus
     tsl = report.tau_sigma_L2
-    X, Y = (np.stack(pair) for pair in zip(init_a, init_b))
-    rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(params.seed)))
+    run = prepare_run(target, params, 2, n_steps, kind=kind,
+                      init=[np.stack(pair) for pair in zip(init_a, init_b)])
+    shared = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(params.seed)))
     rows = []
 
     def record(_: int, s: ChainState) -> None:
@@ -94,7 +93,7 @@ def run_coupled_pair(
         plain = (1.0 / tau) * float(u @ u) + (1.0 - tsl) * (1.0 / sigma) * float(v @ v)
         rows.append((p, q, inc, cr, p + q + inc + cr, plain))
 
-    _drive(step, _initial_state(target, (2,), X, Y), [rng], n_steps, record)
+    replace(run, rngs=np.array([shared], dtype=object)).drive(record)
     return CouplingTrace(*np.array(rows).T, params=params, L=report.L)
 
 
@@ -122,7 +121,6 @@ class SweepResult:
     values: np.ndarray
     w2: np.ndarray
     stationary: np.ndarray
-    notes: list[str] = field(default_factory=list)
 
     @property
     def points(self) -> list[tuple[float, float]]:
@@ -132,20 +130,6 @@ class SweepResult:
         if self.values.size < 2 or np.any(self.w2 <= 0) or np.any(self.values <= 0):
             return math.nan
         return float(np.polyfit(np.log(self.values), np.log(self.w2), 1)[0])
-
-
-def _stationary_flag(primal: np.ndarray, threshold: float = 1e-2) -> bool:
-    """Compare the primal first-coordinate cloud across two consecutive
-    halves of the kept samples; stationary when their 1D transport
-    distance is below ``threshold`` relative to the spread."""
-    series = primal[..., 0].reshape(primal.shape[0], -1)
-    half = series.shape[0] // 2
-    if half < 1:
-        return False
-    first = EmpiricalMeasure(series[:half].ravel())
-    second = EmpiricalMeasure(series[half:].ravel())
-    scale = float(np.std(series)) or 1.0
-    return w2_1d(first, second) / scale < threshold
 
 
 def _w2_to_reference(clouds, reference, batch_cap: int = 2000) -> list[float]:
@@ -201,23 +185,19 @@ def sweep(
 
     ``params_for(value)`` gives the sampler parameters of each point (say,
     a step size or a step ratio, with the other settings fixed). All points
-    run as one batched ensemble (see ``samplers.run_ensemble``), each
-    bit-identical to a fresh ensemble of that point alone; only the primal
-    samples are kept. Non-stationary runs are flagged, not rejected.
+    run as one batched ``samplers.Run``, each bit-identical to a fresh
+    ensemble of that point alone; only the primal samples are kept.
+    Non-stationary runs are flagged, not rejected.
     """
     values = list(values)
-    step, state, rngs, kept_steps = _prepare_ensemble(
-        target, [params_for(v) for v in values], n_chains, n_steps, burn_in, thinning, kind, None
+    run = prepare_run(
+        target, [params_for(v) for v in values], n_chains, n_steps, burn_in, thinning, kind
     )
-    xs = np.empty((len(values), len(kept_steps), n_chains, target.dim_primal))
-
-    def keep(n: int, s: ChainState) -> None:
-        if n in kept_steps:
-            xs[:, kept_steps.index(n)] = s.x
-
-    _drive(step, state, rngs, n_steps, keep)
+    samples = KeepSamples(run, dual=False)
+    run.drive(samples)
+    xs = samples.xs
     return SweepResult(
         values=np.array(values),
         w2=np.array(_w2_to_reference([x.reshape(-1, x.shape[-1]) for x in xs], reference)),
-        stationary=np.array([_stationary_flag(x) for x in xs]),
+        stationary=np.array([stationary_flag(x) for x in xs]),
     )

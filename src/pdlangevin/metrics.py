@@ -3,10 +3,10 @@
 Provides exact 2-Wasserstein distances between equally weighted empirical
 measures (sorted coupling in 1D, optimal assignment in general), moments,
 per-pixel variance maps (from a kept cloud, or streamed through
-``RunningMoments``), and PSNR. scipy is imported by the one function
-that needs it, ``w2_exact``, so importing this module (and the CLI) does
-not load it; nor does it load ``concurrent.futures``, which only
-``w2_pool`` imports.
+``RunningMoments``), a half-split stationarity flag, and PSNR. scipy is
+imported by the one function that needs it, ``w2_exact``, so importing
+this module (and the CLI) does not load it; nor does it load
+``concurrent.futures``, which only ``w2_pool`` imports.
 """
 
 from __future__ import annotations
@@ -188,7 +188,9 @@ class RunningMoments:
     """Per-coordinate mean and unbiased variance of a sample cloud fed in
     blocks of rows, in memory that does not grow with the sample count.
 
-    ``add(rows)`` takes one (n_rows, dim) block, in sample order. The mean
+    ``add(rows)`` takes one (n_rows, dim) block, in sample order. As a
+    reducer of ``samplers.Run.drive``, a call ``(i, state)`` adds the block
+    ``select(state)``: by default the primal rows ``state.x``. The mean
     is a running sum that starts from zeros and adds one row at a time.
     numpy's ``cloud.mean(axis=0)`` sums a cloud with contiguous rows and
     dim > 1 in that order, from its identity 0.0, so :meth:`mean` has its
@@ -200,9 +202,13 @@ class RunningMoments:
     two-pass ``cloud.var(axis=0, ddof=1)`` to rounding, not bit for bit.
     """
 
-    def __init__(self):
+    def __init__(self, select=lambda state: state.x):
+        self.select = select
         self.n = 0
         self._sum = self._mean = self._m2 = None
+
+    def __call__(self, i: int, state) -> None:
+        self.add(self.select(state))
 
     def add(self, rows) -> None:
         rows = np.asarray(rows, dtype=float)
@@ -239,6 +245,21 @@ class RunningMoments:
         if self.n < 2:
             raise ValueError(f"need at least 2 samples for a variance, got {self.n}")
         return self._m2 / (self.n - 1)
+
+
+def stationary_flag(primal: np.ndarray, threshold: float = 1e-2) -> bool:
+    """Whether the first primal coordinate of kept samples ``primal`` (shape
+    (n_kept, n_chains, dim)) looks stationary: the 1D W2 between the pooled
+    clouds of the first and second halves of the kept steps is below
+    ``threshold`` relative to the spread of all of them."""
+    series = primal[..., 0].reshape(primal.shape[0], -1)
+    half = series.shape[0] // 2
+    if half < 1:
+        return False
+    first = EmpiricalMeasure(series[:half].ravel())
+    second = EmpiricalMeasure(series[half:].ravel())
+    scale = float(np.std(series)) or 1.0
+    return w2_1d(first, second) / scale < threshold
 
 
 def psnr(reference: np.ndarray, estimate: np.ndarray, peak: float = 1.0) -> float:

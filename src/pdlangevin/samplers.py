@@ -1,25 +1,23 @@
-"""Markov chain step kernels and the driver that runs them.
+"""Markov chain step kernels and the run that drives them.
 
 Each sampler is built once, by :func:`make_step`, as a kernel
 ``step(state, xi) -> state``: a deterministic map of the chain state and a
 standard-normal draw. The samplers are the primal-dual Langevin iteration
 (outer / inner / generalized-noise variants), the purely primal Langevin
 step, the subgradient baseline, and an Euler scheme for the bias-corrected
-joint diffusion. States carry a leading chain axis, so an ensemble
-advances in single vectorized calls; a kernel built for P parameter points
-takes a further leading point axis, so the points of a sweep advance
-together too. One private driver steps every run: independent ensembles
-(one noise stream per chain, :func:`run_ensemble`), batched ensembles over
-parameter points (``coupling.sweep``) and coupled chains that share one
-stream (``coupling.run_coupled_pair``). It is also the one place that
-checks the chains stay finite, for every sampler.
+joint diffusion. States carry a leading chain axis, and a kernel built for
+P parameter points a further leading point axis. Every run, of an
+ensemble, a batched sweep, an image posterior or a coupled pair, is a
+:class:`Run` built by :func:`prepare_run`; ``Run.drive(*reducers)`` steps
+it, hands each reducer the states it asks for, and is the one place that
+checks the chains stay finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -76,10 +74,11 @@ class SamplerParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        # NaN fails every comparison, so these reject it too
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if not (0.0 <= self.theta <= 1.0):
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.noise_variant not in ("outer", "inner", "general"):
@@ -99,13 +98,12 @@ class ChainState:
     x: np.ndarray
     y: np.ndarray
     x_prev: np.ndarray
-    n: int = 0
 
     @classmethod
     def initial(cls, x: np.ndarray, y: np.ndarray) -> "ChainState":
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return cls(x=x, y=y, x_prev=x.copy(), n=0)
+        return cls(x=x, y=y, x_prev=x.copy())
 
 
 # step(state, xi) -> next state; built by make_step
@@ -141,9 +139,7 @@ class ValidationReport:
         return self.stability_regime or self.contraction_regime or self.bias_regime
 
 
-def validate_params(
-    target: TargetSpec, params: SamplerParams, L: Optional[float] = None
-) -> ValidationReport:
+def validate_params(target: TargetSpec, params: SamplerParams) -> ValidationReport:
     """Check the step sizes against the stability / contraction / bias regimes.
 
     Raises only on nonpositive step sizes or on ``theta * tau * sigma * L^2 > 1``;
@@ -152,8 +148,7 @@ def validate_params(
     """
     if params.tau <= 0 or params.sigma <= 0:
         raise ValueError("step sizes must be positive")
-    if L is None:
-        L = target.K.norm()
+    L = target.K.norm()
     tsl = params.tau * params.sigma * L * L
     if params.theta * tsl > 1.0 + 1e-12:
         raise ValueError(
@@ -224,7 +219,7 @@ def _ulpda_kernel(target: TargetSpec, shared: SamplerParams, c: dict) -> Kernel:
             x_new = root_tau * (xi @ B_XT)
             x_new += g_prox(drift_arg)
             y_new = y_new + root_tau * (xi @ B_YT)
-        return ChainState(x=x_new, y=y_new, x_prev=state.x, n=state.n + 1)
+        return ChainState(x=x_new, y=y_new, x_prev=state.x)
 
     return step
 
@@ -237,7 +232,7 @@ def _ula_kernel(target: TargetSpec, shared: SamplerParams, c: dict) -> Kernel:
 
     def step(state: ChainState, xi: np.ndarray) -> ChainState:
         x_new = state.x - tau * target.h_grad(state.x) + root_2tau * xi
-        return ChainState(x=x_new, y=state.y, x_prev=state.x, n=state.n + 1)
+        return ChainState(x=x_new, y=state.y, x_prev=state.x)
 
     return step
 
@@ -255,7 +250,7 @@ def _prox_sub_kernel(target: TargetSpec, shared: SamplerParams, c: dict) -> Kern
         y_new = target.f_subgrad(K.apply(state.x))
         drift = g_prox(state.x - tau * K.adjoint(y_new))
         x_new = drift + root_2tau * xi
-        return ChainState(x=x_new, y=y_new, x_prev=state.x, n=state.n + 1)
+        return ChainState(x=x_new, y=y_new, x_prev=state.x)
 
     return step
 
@@ -283,7 +278,7 @@ def _modified_sde_kernel(target: TargetSpec, shared: SamplerParams, c: dict) -> 
         x_new = state.x - tau * (grad_g + K.adjoint(state.y)) + root_2tau * xi
         y_drift = lam * (target.fstar_grad(state.y) - u) + mt(grad_h)
         y_new = state.y - tau * y_drift + root_2tau * mt(xi)
-        return ChainState(x=x_new, y=y_new, x_prev=state.x, n=state.n + 1)
+        return ChainState(x=x_new, y=y_new, x_prev=state.x)
 
     return step
 
@@ -402,123 +397,140 @@ def _chain_rngs(seed: int, n_chains: int) -> np.ndarray:
     return rngs
 
 
-def _initial_state(target: TargetSpec, rows: tuple[int, ...], X, Y) -> ChainState:
-    """The state a driver starts from, with leading axes ``rows``. This is
-    where states enter from outside, so it is the one dimension check:
-    kernels trust their input."""
-    state = ChainState.initial(X, Y)
-    want = rows + (target.dim_primal,), rows + (target.dim_dual,)
-    if (state.x.shape, state.y.shape) != want:
-        raise ValueError(
-            f"init shapes x{state.x.shape}/y{state.y.shape} do not match the "
-            f"target's x{want[0]}/y{want[1]}"
-        )
-    return state
-
-
 # Noise buffers hold at most this many doubles (32 MB) per run.
 _NOISE_CAP = 1 << 22
-# Normals per generator call from which _drive draws on a worker thread.
+# Normals per generator call from which Run.drive draws on a worker thread.
 # The fill releases the GIL; below this the GIL hand-offs between the
 # threads cost more than the overlap saves (at 256 normals per call, a
 # 64-chain gauss1d sweep ran 16-23% slower threaded).
 _PIPELINE_MIN_DRAW = 4096
 
 
-def _drive(
-    step: Kernel,
-    state: ChainState,
-    rngs: np.ndarray,
-    n_steps: int,
-    on_step: Callable[[int, ChainState], None],
-    block: int = 256,
-) -> None:
-    """Advance the chains in the rows of ``state`` by ``n_steps`` kernel
-    steps, calling ``on_step(n, state)`` on the state after n steps, for
-    n = 0 to ``n_steps``. Callers keep what they need inside the hook, not
-    the states: a state returned to the caller would be freed after the
-    noise buffers, and glibc's heap-trim threshold rises when a buffer that
-    size is unmapped, so the heap that held the states would stay mapped
-    (peak RSS 381 -> 422 MB on 128x128 TV with 24 chains).
+@dataclass(frozen=True)
+class Run:
+    """One prepared run: the kernel, the initial state, the noise streams,
+    the number of steps and the step counts ``kept`` whose states the
+    reducers see by default (see :func:`kept_steps`).
 
-    The rows are the state's leading axes: (n_chains,), or (P, n_chains)
-    for a batched kernel. ``rngs`` is an array of generators whose shape
-    broadcasts to the rows: one per row, one per chain that every point
-    shares, or a single one whose draws every row shares (coupled chains).
-    Each generator draws once per step and ``np.broadcast_to`` hands its
-    draw to every row it serves. Noise is drawn ``block`` steps at a time,
-    in at most 2**22 doubles (32 MB) of buffers; each generator's stream
-    does not depend on the blocking.
-
-    When each generator call draws at least ``_PIPELINE_MIN_DRAW`` normals
-    and the run takes more than one block, the cap is split into two
-    buffers: one worker thread fills block b + 1 into the idle buffer while
-    the kernel steps through block b, and the loop waits for that fill
-    before it starts block b + 1 (the fill releases the GIL). Otherwise one
-    full-cap buffer is filled inline, before each block. Either way, during
-    the run only one thread at a time touches the generators, in the same
-    order, so every stream and every state is the same bit for bit. This
-    holds because kernels never write into ``xi`` and never return a view
-    of it: a state that kept one would change under the next fill. A fill
-    that raises re-raises here unchanged, and the worker has exited when
-    ``_drive`` returns or raises.
-
-    Every state is checked before ``on_step`` sees it: the sums of x and
-    of y, and a search of the rows only when one of them is not finite (a
-    sum of finite entries may overflow). The first non-finite row raises
-    :class:`DivergenceError`.
+    The rows of ``state`` are its leading axes: (n_chains,), or (P,
+    n_chains) for a batched kernel. ``rngs`` is an array of generators
+    whose shape broadcasts to the rows: one per row, one per chain that
+    every point shares, or a single one whose draws every row shares
+    (coupled chains).
     """
-    rows, dim = state.x.shape[:-1], step.noise_dim
-    rngs = np.asarray(rngs, dtype=object)
-    streams = rngs.ravel()
-    per_step = max(1, streams.size * dim)
-    half = max(1, min(block, (_NOISE_CAP // 2) // per_step))
-    pipelined = half < n_steps and half * dim >= _PIPELINE_MIN_DRAW
-    block = half if pipelined else max(1, min(block, _NOISE_CAP // per_step))
-    buffers = [np.empty((min(block, n_steps), streams.size, dim)) for _ in range(1 + pipelined)]
-    # the draws' shape with unit axes for the rows the generators do not span
-    drawn = (1,) * (len(rows) - rngs.ndim) + rngs.shape + (dim,)
-    starts = range(0, n_steps, block)
 
-    def fill(k: int) -> np.ndarray:
-        """Block k's draws, in buffer k mod 2: never the buffer of block
-        k - 1, which the kernel may still be reading."""
-        buffer, nb = buffers[k % len(buffers)], min(block, n_steps - starts[k])
-        for i, r in enumerate(streams):
-            buffer[:nb, i, :] = r.standard_normal((nb, dim))
-        return np.broadcast_to(buffer[:nb].reshape((nb,) + drawn), (nb,) + rows + (dim,))
+    step: Kernel
+    state: ChainState
+    rngs: np.ndarray
+    n_steps: int
+    kept: range
 
-    def visit(n: int, s: ChainState) -> None:
-        if not (math.isfinite(s.x.sum()) and math.isfinite(s.y.sum())):
-            bad = ~(np.isfinite(s.x).all(axis=-1) & np.isfinite(s.y).all(axis=-1))
-            if bad.any():
-                *point, chain = (int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
-                raise DivergenceError(chain, n, *point)
-        on_step(n, s)
+    def drive(self, *reducers, block: int = 256) -> None:
+        """Advance the chains by ``n_steps`` kernel steps and hand the states
+        to the reducers. A reducer is a callable ``reducer(i, state)``, which
+        sees the states after the ``kept`` steps, or a pair ``(steps,
+        reducer)``, whose reducer sees the states after ``steps``, strictly
+        ascending step counts. Either way it sees them in order, with i the
+        index of the step in its set.
+        Reducers keep what they need, not the states: a state held past the
+        run would be freed after the noise buffers, and glibc's heap-trim
+        threshold rises when a buffer that size is unmapped, so the heap
+        that held the states would stay mapped (peak RSS 381 -> 422 MB on
+        128x128 TV with 24 chains).
 
-    visit(0, state)
-    worker = None
-    if pipelined:  # imported here: it costs the inline runs 0.6 MB of RSS
-        from concurrent.futures import ThreadPoolExecutor
+        Each generator draws once per step and ``np.broadcast_to`` hands
+        its draw to every row it serves. Noise is drawn ``block`` steps at a
+        time, in at most 2**22 doubles (32 MB) of buffers; each generator's
+        stream does not depend on the blocking.
 
-        worker = ThreadPoolExecutor(max_workers=1)
-    try:
-        ahead = worker.submit(fill, 0) if worker else None
-        n = 0
-        for k in range(len(starts)):
-            xi = ahead.result() if worker else fill(k)
-            if worker and k + 1 < len(starts):
-                ahead = worker.submit(fill, k + 1)
-            for x in xi:
-                state = step(state, x)
-                n += 1
-                visit(n, state)
-    finally:
-        if worker:  # waits for a fill still running
-            worker.shutdown()
+        When each generator call draws at least ``_PIPELINE_MIN_DRAW``
+        normals and the run takes more than one block, the cap is split into
+        two buffers: one worker thread fills block b + 1 into the idle
+        buffer while the kernel steps through block b, and the loop waits
+        for that fill before it starts block b + 1 (the fill releases the
+        GIL). Otherwise one full-cap buffer is filled inline, before each
+        block. Either way, during the run only one thread at a time touches
+        the generators, in the same order, so every stream and every state
+        is the same bit for bit. This holds because kernels never write into
+        ``xi`` and never return a view of it: a state that kept one would
+        change under the next fill. A fill that raises re-raises here
+        unchanged, and the worker has exited when ``drive`` returns or
+        raises.
+
+        Every state is checked before a reducer could see it: the sums of x
+        and of y, and a search of the rows only when one of them is not
+        finite (a sum of finite entries may overflow). The first non-finite
+        row raises :class:`DivergenceError`.
+        """
+        step, state, n_steps, rngs = self.step, self.state, self.n_steps, self.rngs
+        rows, dim = state.x.shape[:-1], step.noise_dim
+        streams = rngs.ravel()
+        per_step = max(1, streams.size * dim)
+        half = max(1, min(block, (_NOISE_CAP // 2) // per_step))
+        pipelined = half < n_steps and half * dim >= _PIPELINE_MIN_DRAW
+        block = half if pipelined else max(1, min(block, _NOISE_CAP // per_step))
+        buffers = [np.empty((min(block, n_steps), streams.size, dim)) for _ in range(1 + pipelined)]
+        # the draws' shape with unit axes for the rows the generators do not span
+        drawn = (1,) * (len(rows) - rngs.ndim) + rngs.shape + (dim,)
+        starts = range(0, n_steps, block)
+
+        def listener(steps: Iterable[int], reducer) -> Callable[[int, ChainState], None]:
+            """Call ``reducer(i, state)`` after the i-th step of ``steps``."""
+            it, i = iter(steps), -1
+            due = next(it, -1)
+
+            def listen(n: int, s: ChainState) -> None:
+                nonlocal i, due
+                if n == due:
+                    i += 1
+                    reducer(i, s)
+                    due = next(it, -1)
+
+            return listen
+
+        listeners = [listener(*r) if isinstance(r, tuple) else listener(self.kept, r)
+                     for r in reducers]
+
+        def fill(k: int) -> np.ndarray:
+            """Block k's draws, in buffer k mod 2: never the buffer of block
+            k - 1, which the kernel may still be reading."""
+            buffer, nb = buffers[k % len(buffers)], min(block, n_steps - starts[k])
+            for i, r in enumerate(streams):
+                buffer[:nb, i, :] = r.standard_normal((nb, dim))
+            return np.broadcast_to(buffer[:nb].reshape((nb,) + drawn), (nb,) + rows + (dim,))
+
+        def visit(n: int, s: ChainState) -> None:
+            if not (math.isfinite(s.x.sum()) and math.isfinite(s.y.sum())):
+                bad = ~(np.isfinite(s.x).all(axis=-1) & np.isfinite(s.y).all(axis=-1))
+                if bad.any():
+                    *point, chain = (int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
+                    raise DivergenceError(chain, n, *point)
+            for listen in listeners:
+                listen(n, s)
+
+        visit(0, state)
+        worker = None
+        if pipelined:  # imported here: it costs the inline runs 0.6 MB of RSS
+            from concurrent.futures import ThreadPoolExecutor
+
+            worker = ThreadPoolExecutor(max_workers=1)
+        try:
+            ahead = worker.submit(fill, 0) if worker else None
+            n = 0
+            for k in range(len(starts)):
+                xi = ahead.result() if worker else fill(k)
+                if worker and k + 1 < len(starts):
+                    ahead = worker.submit(fill, k + 1)
+                for x in xi:
+                    state = step(state, x)
+                    n += 1
+                    visit(n, state)
+        finally:
+            if worker:  # waits for a fill still running
+                worker.shutdown()
 
 
-def _kept_steps(n_steps: int, burn_in: int, thinning: int) -> range:
+def kept_steps(n_steps: int, burn_in: int, thinning: int) -> range:
     """The step counts whose states an ensemble run keeps: the initial
     state when there is no burn-in, then every ``thinning``-th step after
     ``burn_in``; the final state when that is none."""
@@ -526,25 +538,26 @@ def _kept_steps(n_steps: int, burn_in: int, thinning: int) -> range:
     return kept or range(n_steps, n_steps + 1)
 
 
-def _prepare_ensemble(
+def prepare_run(
     target: TargetSpec,
     params: Params,
     n_chains: int,
     n_steps: int,
-    burn_in: int,
-    thinning: int,
-    kind: str,
-    init,
-) -> tuple[Kernel, ChainState, np.ndarray, range]:
-    """Check an ensemble run's arguments and build what :func:`_drive`
-    needs: the kernel, the initial state, the chain streams, and the kept
-    steps (see :func:`_kept_steps`).
+    burn_in: int = 0,
+    thinning: int = 1,
+    kind: str = "ulpda",
+    init=None,
+) -> Run:
+    """Check an ensemble run's arguments, run ``validate_params`` on every
+    point and build the :class:`Run` (see :func:`make_step`).
 
     Point j's chain i draws from the stream keyed by (seed_j, i). Points
     that all have one seed share one generator per chain, whose draws are
     broadcast over the points; otherwise every point gets its own.
     ``init`` is None (all chains at zero) or an (X, Y) pair of (n_chains, d)
-    and (n_chains, m) arrays, which every point starts from.
+    and (n_chains, m) arrays, which every point starts from. This is where
+    states enter from outside, so it is the one dimension check: kernels
+    trust their input.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
@@ -556,18 +569,43 @@ def _prepare_ensemble(
     for p in points:
         validate_params(target, p)
     step = _make_step(kind, target, params, n_chains)
-    batch = () if isinstance(params, SamplerParams) else (len(points),)
     if len({p.seed for p in points}) == 1:
         rngs = _chain_rngs(points[0].seed, n_chains)
     else:
         rngs = np.stack([_chain_rngs(p.seed, n_chains) for p in points])
+    want = (n_chains, target.dim_primal), (n_chains, target.dim_dual)
     if init is None:
-        init = np.zeros((n_chains, target.dim_primal)), np.zeros((n_chains, target.dim_dual))
-    X, Y = init
-    if batch:  # every point starts from the same arrays
+        X, Y = np.zeros(want[0]), np.zeros(want[1])
+    else:
+        X, Y = (np.asarray(a, dtype=float) for a in init)
+        if (X.shape, Y.shape) != want:
+            raise ValueError(
+                f"init shapes x{X.shape}/y{Y.shape} do not match the "
+                f"target's x{want[0]}/y{want[1]}"
+            )
+    if not isinstance(params, SamplerParams):  # every point starts from the same arrays
         X, Y = (np.stack([a] * len(points)) for a in (X, Y))
-    return (step, _initial_state(target, batch + (n_chains,), X, Y), rngs,
-            _kept_steps(n_steps, burn_in, thinning))
+    return Run(step, ChainState.initial(X, Y), rngs, n_steps, kept_steps(n_steps, burn_in, thinning))
+
+
+class KeepSamples:
+    """Reducer that stores the primal rows of the kept states in ``xs`` and,
+    with ``dual``, their dual rows in ``ys`` (else None): arrays of shape
+    batch + (n_kept, n_chains, dim), allocated before the first step."""
+
+    def __init__(self, run: Run, dual: bool = True):
+        *batch, n_chains, d = run.state.x.shape
+        shape = (*batch, len(run.kept), n_chains)
+        self.xs = np.empty(shape + (d,))
+        self.ys = np.empty(shape + run.state.y.shape[-1:]) if dual else None
+        # kept-step-major views: x[i] = ... is cheaper than xs[..., i, :, :] = ...
+        self._x = np.moveaxis(self.xs, len(batch), 0)
+        self._y = None if self.ys is None else np.moveaxis(self.ys, len(batch), 0)
+
+    def __call__(self, i: int, state: ChainState) -> None:
+        self._x[i] = state.x
+        if self._y is not None:
+            self._y[i] = state.y
 
 
 def run_ensemble(
@@ -579,57 +617,24 @@ def run_ensemble(
     init=None,
     thinning: int = 1,
     kind: str = "ulpda",
-    checkpoints: Optional[Sequence[int]] = None,
-    on_checkpoint: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
     noise_block: int = 256,
 ):
-    """Run ``n_chains`` independent chains and collect thinned samples.
-
-    The chains start from ``init``: None puts them all at zero, and an
-    (X, Y) pair of (n_chains, d) and (n_chains, m) arrays gives chain i the
-    rows X[i] and Y[i]. Each chain owns a counter-based RNG stream derived
-    from ``(params.seed, chain_index)``, so results are bit-reproducible and
-    independent of batching. Samples are kept every ``thinning`` steps
-    after ``burn_in`` (plus the initial state when ``burn_in`` is 0; the
-    final state when nothing else is kept), in arrays of shape
-    (n_kept, n_chains, dim) allocated before the first step. Noise is drawn
-    ``noise_block`` steps at a time into reused buffers of at most 2**22
-    doubles (32 MB) in all; fewer steps per block when the ensemble is
-    large. Large draws are pipelined: two half-cap buffers, one filled on a
-    worker thread while the chains step through the other, whenever each
-    generator call draws at least 4096 normals and the run takes more than
-    one block (see ``_drive``). The chains are the same bit for bit either
-    way.
-    Optional checkpoints invoke a callback with the current (X, Y) ensemble
-    arrays at selected step counts; the sampler never writes into arrays it
-    has handed out.
+    """Run ``n_chains`` independent chains and collect thinned samples: the
+    :class:`Run` of :func:`prepare_run` (its arguments are this function's),
+    driven with one :class:`KeepSamples` and noise blocks of
+    ``noise_block`` steps (see :meth:`Run.drive`). Each chain owns a
+    counter-based RNG stream derived from ``(params.seed, chain_index)``, so
+    results are bit-reproducible and independent of batching and blocking.
 
     With a sequence of P :class:`SamplerParams` (say, the points of a
     sweep) all P ensembles advance as one batched run (see
     :func:`make_step`) and a list of P stores comes back, each
-    bit-identical to a run of its point alone: point j's chain i keeps the
-    stream (seed_j, i), and points sharing one seed draw each stream once
-    for all of them. ``validate_params`` runs on every point. Every point
-    starts from the same ``init``; checkpoint arrays have shape
-    (P, n_chains, dim).
+    bit-identical to a run of its point alone.
     """
-    step, state, rngs, kept_steps = _prepare_ensemble(
-        target, params, n_chains, n_steps, burn_in, thinning, kind, init
-    )
-    batch = state.x.shape[:-2]
-    xs = np.empty(batch + (len(kept_steps), n_chains, target.dim_primal))
-    ys = np.empty(batch + (len(kept_steps), n_chains, target.dim_dual))
-    # a checkpoint counts steps taken, so step 0 is none
-    checkpoint_set = set(checkpoints or ()) - {0} if on_checkpoint is not None else set()
-
-    def keep(n: int, s: ChainState) -> None:
-        if n in kept_steps:
-            i = kept_steps.index(n)
-            xs[..., i, :, :], ys[..., i, :, :] = s.x, s.y
-        if n in checkpoint_set:
-            on_checkpoint(n, s.x, s.y)
-
-    _drive(step, state, rngs, n_steps, keep, noise_block)
+    run = prepare_run(target, params, n_chains, n_steps, burn_in, thinning, kind, init)
+    samples = KeepSamples(run)
+    run.drive(samples, block=noise_block)
     if isinstance(params, SamplerParams):
-        return SampleStore(xs=xs, ys=ys, params=params)
-    return [SampleStore(xs=xs[j], ys=ys[j], params=p) for j, p in enumerate(_points(params))]
+        return SampleStore(xs=samples.xs, ys=samples.ys, params=params)
+    return [SampleStore(xs=samples.xs[j], ys=samples.ys[j], params=p)
+            for j, p in enumerate(_points(params))]

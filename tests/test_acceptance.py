@@ -23,13 +23,14 @@ from pdlangevin.analytic import (
     target_variance,
 )
 from pdlangevin.cli import add_gaussian_noise, gauss1d_stepsizes, synthetic_phantom
-from pdlangevin.coupling import _stationary_flag, run_coupled_pair
+from pdlangevin.coupling import run_coupled_pair
 from pdlangevin.linop import grad2d
 from pdlangevin.metrics import (
     EmpiricalMeasure,
     RunningMoments,
     moments,
     psnr,
+    stationary_flag,
     w2_exact,
     w2_pool,
 )
@@ -42,10 +43,10 @@ from pdlangevin.prox import (
 )
 from pdlangevin.samplers import (
     ChainState,
+    KeepSamples,
     SamplerParams,
-    _drive,
-    _prepare_ensemble,
     make_step,
+    prepare_run,
     run_ensemble,
 )
 
@@ -160,9 +161,7 @@ def _probe_linear_transition(target, params):
     step = make_step("ulpda", target, params)
 
     def advance(x, y, xp, xi):
-        state = ChainState(
-            x=np.array([x]), y=np.array([y]), x_prev=np.array([xp]), n=0
-        )
+        state = ChainState(x=np.array([x]), y=np.array([y]), x_prev=np.array([xp]))
         new = step(state, np.array([xi]))
         return np.array([new.x[0], new.y[0], new.x_prev[0]])
 
@@ -272,18 +271,17 @@ def test_two_pixel_transport_curves_order_by_step_ratio():
             params = SamplerParams(tau=tau, lam=lam, seed=7)
             curve = curves[label] = []
 
-            def on_checkpoint(step, X, Y, curve=curve):
-                mu = EmpiricalMeasure(X[chain_perm[:1_000]])
+            def solve(i, s, curve=curve):
+                mu = EmpiricalMeasure(s.x[chain_perm[:1_000]])
                 nu = EmpiricalMeasure(ref_cloud[ref_perm[:1_000]])
                 curve.append(pool.submit(w2_exact, mu, nu))
 
-            store = run_ensemble(
-                target, params, n_chains=n_chains, n_steps=n_steps,
-                burn_in=3_000, thinning=10, kind=kind,
-                checkpoints=checkpoints, on_checkpoint=on_checkpoint,
-            )
-            assert _stationary_flag(store.xs)
-            batches[label] = batched_w2(pool, store.final_x)
+            run = prepare_run(target, params, n_chains, n_steps, burn_in=3_000, thinning=10,
+                              kind=kind)
+            samples = KeepSamples(run, dual=False)
+            run.drive(samples, (checkpoints, solve))
+            assert stationary_flag(samples.xs)
+            batches[label] = batched_w2(pool, samples.xs[-1])
 
         results = {}
         for label, _, _ in runs:
@@ -317,17 +315,9 @@ def test_image_dispersion_and_denoising_signatures():
         ("ps", "prox_sub", 100.0),
     ):
         params = SamplerParams(tau=tau, lam=lam, seed=5)
-        step, state, rngs, kept = _prepare_ensemble(
-            target, params, 24, 6_000, 3_000, 5, kind, init
-        )
-        primal, dual = RunningMoments(), RunningMoments()
-
-        def reduce(n, s, primal=primal, dual=dual, kept=kept):
-            if n in kept:
-                primal.add(s.x)
-                dual.add(s.y)
-
-        _drive(step, state, rngs, 6_000, reduce)
+        run = prepare_run(target, params, 24, 6_000, 3_000, 5, kind, init)
+        primal, dual = RunningMoments(), RunningMoments(lambda s: s.y)
+        run.drive(primal, dual)
         stats[label] = (
             float(primal.variance().mean()),
             float(dual.variance().mean()),

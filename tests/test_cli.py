@@ -389,6 +389,20 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.count(f"{override.split('=')[0]} must be finite") == 2
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["validate", "scenario=sweep", "sweep_values=1,nan"],
+        ["sweep", "sweep_values=1,nan"],
+        ["validate", "scenario=sweep", "sweep_values=1,10,inf"],
+    ], ids=["validate-nan", "sweep-nan", "validate-inf"])
+    def test_non_finite_sweep_value_is_a_config_error(self, args, tmp_path, capsys):
+        # a NaN fails no ordering test: validate used to print "lambda = nan"
+        # and exit 0, sweep to exit 3 on a diverged chain; lambda = inf
+        # gave tau = 0 and exit 3
+        code = main([*args, "n_chains=2", "n_steps=10", f"output_dir={tmp_path}/out"])
+        assert code == 2
+        assert "config error: sweep_values must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("args, field", [
         (["run", "scenario=tv2pixel", "n_checkpoints=0"], "n_checkpoints"),
         (["validate", "scenario=gauss1d", "c_f=0"], "c_f"),

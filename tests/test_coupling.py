@@ -10,13 +10,12 @@ from pdlangevin.analytic import GaussModel1D, stationary_cov_pd, target_variance
 from pdlangevin.coupling import (
     CouplingTrace,
     SweepResult,
-    _stationary_flag,
     _w2_to_reference,
     fit_contraction_rate,
     run_coupled_pair,
     sweep,
 )
-from pdlangevin.metrics import EmpiricalMeasure, w2_exact, w2_pool
+from pdlangevin.metrics import EmpiricalMeasure, stationary_flag, w2_exact, w2_pool
 from pdlangevin.models import gauss1d_target, tv2pixel_target
 from pdlangevin.samplers import DivergenceError, SamplerParams, run_ensemble
 
@@ -270,7 +269,7 @@ class TestSweepIsBatched:
         for value, w2, flag in zip(values, result.w2, result.stationary):
             store = run_ensemble(target, params_for(value), **run)
             assert [w2] == _w2_to_reference([store.x_samples], ref)
-            assert flag == _stationary_flag(store.xs)
+            assert flag == stationary_flag(store.xs)
 
     def test_diverging_point_is_named(self):
         target = gauss1d_target(BENCH)

@@ -17,12 +17,14 @@ from pdlangevin.prox import ProxOperator
 from pdlangevin.samplers import (
     ChainState,
     DivergenceError,
+    KeepSamples,
+    Run,
     SamplerParams,
     TargetSpec,
     _PIPELINE_MIN_DRAW,
-    _drive,
     _make_step,
     make_step,
+    prepare_run,
     run_ensemble,
     validate_params,
 )
@@ -97,7 +99,6 @@ class TestUlpdaStep:
         out = make_step("ulpda", target, p)(state, np.zeros(1))
         np.testing.assert_array_equal(out.x, np.zeros(1))
         np.testing.assert_array_equal(out.y, np.zeros(1))
-        assert out.n == 1
 
     def test_vanishing_dual_step_freezes_dual(self):
         target = gauss1d_target(BENCH)
@@ -167,7 +168,7 @@ def _ref_ulpda_step(state, target, params, xi):
         root_tau = math.sqrt(tau)
         x_new = target.g_prox.at(tau)(drift_arg) + root_tau * (xi @ np.asarray(params.B_X).T)
         y_new = y_new + root_tau * (xi @ np.asarray(params.B_Y).T)
-    return ChainState(x=x_new, y=y_new, x_prev=state.x, n=state.n + 1)
+    return ChainState(x=x_new, y=y_new, x_prev=state.x)
 
 
 class _Spy:
@@ -215,7 +216,7 @@ def _random_state_and_noise(target, variant):
     rng = np.random.default_rng(11)
     state = ChainState(
         x=rng.standard_normal((3, d)), y=rng.standard_normal((3, m)),
-        x_prev=rng.standard_normal((3, d)), n=4,
+        x_prev=rng.standard_normal((3, d)),
     )
     xi = rng.standard_normal((3, d + m if variant == "general" else d))
     return state, xi
@@ -426,19 +427,19 @@ class TestRunEnsemble:
         before = X0.copy(), Y0.copy()
         seen = []
 
-        def on_checkpoint(step, X, Y):
-            seen.append((X, Y, X.copy(), Y.copy()))
+        def on_checkpoint(i, s):
+            seen.append((s.x, s.y, s.x.copy(), s.y.copy()))
 
-        store = run_ensemble(target, p, n_chains=3, n_steps=12, init=(X0, Y0),
-                             checkpoints=[1, 5, 11, 12], on_checkpoint=on_checkpoint,
-                             noise_block=4)
+        run = prepare_run(target, p, n_chains=3, n_steps=12, init=(X0, Y0))
+        samples = KeepSamples(run)
+        run.drive(samples, ([1, 5, 11, 12], on_checkpoint), block=4)
         np.testing.assert_array_equal(X0, before[0])
         np.testing.assert_array_equal(Y0, before[1])
         assert len(seen) == 4
         for X, Y, X_then, Y_then in seen:
             np.testing.assert_array_equal(X, X_then)
             np.testing.assert_array_equal(Y, Y_then)
-        np.testing.assert_array_equal(seen[-1][0], store.final_x)
+        np.testing.assert_array_equal(seen[-1][0], samples.xs[-1])
 
     def test_kept_sample_counts_and_values(self):
         target = gauss1d_target(BENCH)
@@ -600,9 +601,10 @@ class TestBatchedEnsemble:
         target = gauss1d_target(BENCH)
         batch = _batch()
         seen = {}
-        stores = run_ensemble(target, batch, n_chains=4, n_steps=10, checkpoints=[10],
-                              on_checkpoint=lambda n, X, Y: seen.update({n: (X.copy(), Y.copy())}))
-        X, Y = seen[10]
+        stores = run_ensemble(target, batch, n_chains=4, n_steps=10)
+        run = prepare_run(target, batch, n_chains=4, n_steps=10)
+        run.drive(([10], lambda i, s: seen.update({i: (s.x.copy(), s.y.copy())})))
+        X, Y = seen[0]
         assert X.shape == (3, 4, 1) and Y.shape == (3, 4, 1)
         for j, store in enumerate(stores):
             np.testing.assert_array_equal(X[j], store.final_x)
@@ -703,21 +705,52 @@ class TestBatchedEnsemble:
             run_ensemble(target, batch, n_chains=1, n_steps=10)
 
 
+class _Recorder:
+    """Reducer that copies every (index, x, y) it is handed."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, i, state):
+        self.seen.append((i, state.x.copy(), state.y.copy()))
+
+
+class TestRunReducers:
+    @pytest.mark.parametrize("batched", [False, True], ids=["one_point", "three_points"])
+    def test_overlapping_step_sets_each_see_their_steps_in_order(self, batched):
+        target = gauss1d_target(BENCH)
+        params = _batch() if batched else SamplerParams(tau=1e-2, lam=1.0, seed=6)
+        run = prepare_run(target, params, n_chains=4, n_steps=20, burn_in=5, thinning=3)
+        assert list(run.kept) == [8, 11, 14, 17, 20]
+        kept, own, own_steps = _Recorder(), _Recorder(), [2, 8, 10, 17]
+        run.drive(kept, (own_steps, own))
+        # every state of the run, kept by run_ensemble
+        full = run_ensemble(target, params, n_chains=4, n_steps=20)
+        xs, ys = ((np.stack([st.xs for st in full], 1), np.stack([st.ys for st in full], 1))
+                  if batched else (full.xs, full.ys))
+        for reducer, steps in ((kept, run.kept), (own, own_steps)):
+            assert [i for i, _, _ in reducer.seen] == list(range(len(steps)))
+            for (i, x, y), n in zip(reducer.seen, steps):
+                np.testing.assert_array_equal(x, xs[n])
+                np.testing.assert_array_equal(y, ys[n])
+
+
 def _adding_kernel(dim, pause=0.0, nan_at=None):
     """x += xi on (rows, dim) states, checking that xi holds still for the
     whole step even when the step pauses; ``nan_at`` makes the state
-    non-finite at that step."""
-    changed = []
+    non-finite at that step. The kernel counts its own calls."""
+    changed, calls = [], [0]
 
     def step(state, xi):
+        calls[0] += 1
         seen = xi.copy()
         time.sleep(pause)
         if not np.array_equal(xi, seen):
-            changed.append(state.n + 1)
+            changed.append(calls[0])
         x = state.x + xi
-        if state.n + 1 == nan_at:
+        if calls[0] == nan_at:
             x[0, 0] = np.nan
-        return ChainState(x=x, y=state.y, x_prev=state.x, n=state.n + 1)
+        return ChainState(x=x, y=state.y, x_prev=state.x)
 
     step.noise_dim = dim
     return step, changed
@@ -755,12 +788,13 @@ class TestPipelinedNoise:
         noisy = np.random.default_rng(0).uniform(0.0, 1.0, 32 * 32)
         target = tv_image_target(noisy, 0.1, 3.0, 32, 32)
         threads = []
-        store = run_ensemble(
+        run = prepare_run(
             target, SamplerParams(tau=0.003, lam=10.0, seed=5), n_chains=n_chains, n_steps=30,
             init=(np.tile(noisy, (n_chains, 1)), np.zeros((n_chains, target.dim_dual))),
-            noise_block=noise_block,
-            checkpoints=[15], on_checkpoint=lambda n, X, Y: threads.append(threading.active_count()),
         )
+        store = KeepSamples(run)
+        run.drive(store, ([15], lambda i, s: threads.append(threading.active_count())),
+                  block=noise_block)
         return store, threads[0]
 
     def test_threaded_and_inline_draws_give_the_same_chains(self):
@@ -790,13 +824,15 @@ class TestPipelinedNoise:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # hand the GIL over often
         try:
-            _drive(step, state, _streams(2), 12, lambda n, s: finals.append(s.x), block=3)
+            Run(step, state, _streams(2), 12, range(13)).drive(
+                lambda i, s: finals.append(s.x), block=3)
         finally:
             sys.setswitchinterval(interval)
         assert changed == []
         inline, _ = _adding_kernel(dim)
         expect = []
-        _drive(inline, state, _streams(2), 12, lambda n, s: expect.append(s.x), block=1)
+        Run(inline, state, _streams(2), 12, range(13)).drive(
+            lambda i, s: expect.append(s.x), block=1)
         np.testing.assert_array_equal(finals[-1], expect[-1])
 
     def test_a_failing_draw_reaches_the_caller(self):
@@ -808,8 +844,8 @@ class TestPipelinedNoise:
         state = ChainState.initial(np.zeros((1, dim)), np.zeros((1, 1)))
         seen = []
         with pytest.raises(_DrawError) as caught:
-            _drive(step, state, streams, 10, lambda n, s: seen.append(threading.active_count()),
-                   block=2)
+            Run(step, state, streams, 10, range(11)).drive(
+                lambda i, s: seen.append(threading.active_count()), block=2)
         assert caught.value is error
         assert seen[-1] == before + 1 and len(seen) == 5  # blocks 0 and 1 were stepped
         assert threading.active_count() == before
@@ -821,7 +857,7 @@ class TestPipelinedNoise:
         state = ChainState.initial(np.zeros((2, dim)), np.zeros((2, 1)))
         seen = []
         with pytest.raises(DivergenceError, match="chain 0 diverged: non-finite state at step 5$"):
-            _drive(step, state, _streams(2), 40, lambda n, s: seen.append(threading.active_count()),
-                   block=2)
+            Run(step, state, _streams(2), 40, range(41)).drive(
+                lambda i, s: seen.append(threading.active_count()), block=2)
         assert seen[-1] == before + 1
         assert threading.active_count() == before
