@@ -9,7 +9,8 @@ and a JSON manifest that makes every run reproducible.
 Config files are flat ``key = value`` text (UTF-8, ``#`` comments); every
 key can be overridden on the command line as trailing ``key=value``
 arguments. Exit codes: 0 success, 2 config error, 3 step-size regime
-violation or a diverged chain, 4 IO error (a missing or malformed file).
+violation, diverged chain or overflowed moments, 4 IO error (missing or
+malformed file).
 """
 
 from __future__ import annotations
@@ -405,6 +406,13 @@ def _write_manifest(outdir: Path, cfg: ScenarioConfig, report, extra: dict, inpu
     return path
 
 
+def _finite_moments(block: str, *moments: np.ndarray) -> None:
+    """Raise ``ValueError`` (exit 3) if a block's moments overflowed, though
+    its chains stayed finite."""
+    if not all(np.isfinite(m).all() for m in moments):
+        raise ValueError(f"the moments of block {block!r} are not finite")
+
+
 def _write_moments(outdir: Path, **blocks: np.ndarray) -> dict:
     """Write ``summary.csv``: the mean and variance of every coordinate of
     each named (n, dim) sample block, in order; return each block's
@@ -412,6 +420,7 @@ def _write_moments(outdir: Path, **blocks: np.ndarray) -> dict:
     rows, variances = [], {}
     for name, samples in blocks.items():
         mean, cov = moments(EmpiricalMeasure(samples))
+        _finite_moments(name, mean, cov.diagonal())
         rows += [[name, i, mean[i], cov[i, i]] for i in range(mean.size)]
         variances[name] = cov.diagonal()
     _write_csv(outdir / "summary.csv", ["block", "coordinate", "mean", "variance"], rows)
@@ -507,6 +516,8 @@ def _run_image(cfg: ScenarioConfig, prob: _Problem, outdir: Path) -> dict:
     primal, dual = RunningMoments(lambda s: s.x[:, :d]), RunningMoments(lambda s: s.y)
     run.drive(primal, dual)
     mmse, var, dual_var = primal.mean(), primal.variance(), dual.variance()
+    _finite_moments("x", mmse, var)
+    _finite_moments("y", dual.mean(), dual_var)
 
     save_image_pgm(outdir / "mmse.pgm", ImageGrid(width, height, mmse))
     log_var = np.log10(np.maximum(var, 1e-12))

@@ -15,6 +15,7 @@ from .linop import diff_pair, grad2d, scalar_map, sym_grad2d, tgv_block
 from .prox import (
     ProxOperator,
     group_ball_projection,
+    group_norms,
     interval_projection,
     quadratic_data_prox,
     scaled_square_prox,
@@ -43,7 +44,7 @@ def _group_min_norm_subgrad(u: np.ndarray, alpha: float, group_size: int) -> np.
     """Minimal-norm element of the subdifferential of alpha * ||.||_{2,1}
     over contiguous groups: alpha * u_g / ||u_g||, and 0 at zero groups."""
     g = u.reshape(u.shape[:-1] + (-1, group_size))
-    norms = np.linalg.norm(g, axis=-1, keepdims=True)
+    norms = group_norms(g)[..., None]
     scale = np.zeros_like(norms)
     np.divide(alpha, norms, out=scale, where=norms > 0)
     return (g * scale).reshape(u.shape)

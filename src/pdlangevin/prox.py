@@ -86,6 +86,17 @@ def interval_projection(alpha: float) -> ProxOperator:
     )
 
 
+def group_norms(g: np.ndarray) -> np.ndarray:
+    """The l2 norms along the last axis of ``g``: squares summed component by
+    component, in the order of ``np.linalg.norm(g, axis=-1)``, for its bits."""
+    norms = g[..., 0] * g[..., 0]
+    sq = np.empty_like(norms)
+    for k in range(1, g.shape[-1]):
+        np.multiply(g[..., k], g[..., k], out=sq)
+        norms += sq
+    return np.sqrt(norms, out=norms)
+
+
 def group_ball_projection(alpha: float, group_size: int = 2) -> ProxOperator:
     """Groupwise projection onto l2-balls of radius ``alpha``, the prox of
     the conjugate of alpha*||.||_{2,1}; the step size is ignored.
@@ -107,14 +118,7 @@ def group_ball_projection(alpha: float, group_size: int = 2) -> ProxOperator:
                 f"last axis of size {v.shape[-1]} not divisible by group size {group_size}"
             )
         g = v.reshape(v.shape[:-1] + (-1, group_size))
-        # squared norms summed component by component, in the order
-        # np.linalg.norm uses, so the result matches it bit for bit
-        norms = g[..., 0] * g[..., 0]
-        sq = np.empty_like(norms)
-        for k in range(1, group_size):
-            np.multiply(g[..., k], g[..., k], out=sq)
-            norms += sq
-        np.sqrt(norms, out=norms)
+        norms = group_norms(g)
         # scale alpha / max(norm, alpha) is exactly 1 for groups inside the ball
         np.maximum(norms, alpha, out=norms)
         scale = np.divide(alpha, norms, out=norms)

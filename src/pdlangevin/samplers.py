@@ -329,6 +329,10 @@ def make_step(kind: str, target: TargetSpec, params: Params) -> Kernel:
     ``xi`` of shape ``state.x.shape[:-1] + (step.noise_dim,)`` to the next
     state; it does not check the dimensions of what it is given and never
     writes into the state, the noise, or anything K or a prox returns.
+    Each kernel but the general variant's maps every chain row on its own,
+    so any slab of rows steps to the bits the whole state gives them
+    (``step.rowwise``); the general variant's BLAS product ``xi @ B.T``
+    can change bits with the number of rows.
 
     ``params`` is one :class:`SamplerParams`, whose step sizes enter as
     scalars, or a sequence of P of them, one per point of a batched run.
@@ -358,6 +362,7 @@ def _make_step(kind: str, target: TargetSpec, params: Params, n_rows: int) -> Ke
     step = _KERNELS[kind](target, shared, _coefficients(points, rows))
     general = kind == "ulpda" and shared.noise_variant == "general"
     step.noise_dim = target.dim_primal + (target.dim_dual if general else 0)
+    step.rowwise = not general
     return step
 
 
@@ -399,6 +404,9 @@ def _chain_rngs(seed: int, n_chains: int) -> np.ndarray:
 
 # Noise buffers hold at most this many doubles (32 MB) per run.
 _NOISE_CAP = 1 << 22
+# Bytes of chain rows per slab of Run.drive: 2 chains at 128x128 TV. A
+# state of 4 slabs or fewer steps whole: there per-call overhead dominates.
+_SLAB_BYTES = 768 << 10
 # Normals per generator call from which Run.drive draws on a worker thread.
 # The fill releases the GIL; below this the GIL hand-offs between the
 # threads cost more than the overlap saves (at 256 normals per call, a
@@ -457,6 +465,12 @@ class Run:
         unchanged, and the worker has exited when ``drive`` returns or
         raises.
 
+        An unbatched state of over 4 * ``_SLAB_BYTES`` (3 MiB of x and y)
+        with a ``rowwise`` kernel (see :func:`make_step`) steps in slabs of
+        that many bytes of chain rows (at least one), copied into one new x
+        and y per step. Each numpy pass then stays in a 2 MiB L2, and every
+        chain keeps its bits. Batched runs and smaller states step whole.
+
         Every state is checked before a reducer could see it: the sums of x
         and of y, and a search of the rows only when one of them is not
         finite (a sum of finite entries may overflow). The first non-finite
@@ -464,6 +478,7 @@ class Run:
         """
         step, state, n_steps, rngs = self.step, self.state, self.n_steps, self.rngs
         rows, dim = state.x.shape[:-1], step.noise_dim
+        step = _in_slabs(step, state.x, state.y)
         streams = rngs.ravel()
         per_step = max(1, streams.size * dim)
         half = max(1, min(block, (_NOISE_CAP // 2) // per_step))
@@ -528,6 +543,25 @@ class Run:
         finally:
             if worker:  # waits for a fill still running
                 worker.shutdown()
+
+
+def _in_slabs(step: Kernel, x: np.ndarray, y: np.ndarray) -> Kernel:
+    """``step``, or, if it is ``rowwise`` and the state is unbatched and over
+    4 slabs, ``step`` on a slab of chain rows at a time (see :meth:`Run.drive`)."""
+    if not (getattr(step, "rowwise", False) and x.ndim == 2
+            and x.nbytes + y.nbytes > 4 * _SLAB_BYTES):
+        return step
+    n = max(1, _SLAB_BYTES // (x[0].nbytes + y[0].nbytes))
+
+    def slabbed(state: ChainState, xi: np.ndarray) -> ChainState:
+        x_next, y_next = np.empty_like(state.x), np.empty_like(state.y)
+        for a in range(0, len(x_next), n):
+            rows = slice(a, a + n)
+            s = step(ChainState(state.x[rows], state.y[rows], state.x_prev[rows]), xi[rows])
+            x_next[rows], y_next[rows] = s.x, s.y
+        return ChainState(x=x_next, y=y_next, x_prev=state.x)
+
+    return slabbed
 
 
 def kept_steps(n_steps: int, burn_in: int, thinning: int) -> range:

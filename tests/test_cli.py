@@ -440,6 +440,42 @@ class TestMainExitCodes:
         assert step is not None and int(step.group(1)) < 3000
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    def test_overflowing_moments_are_a_regime_violation(self, tmp_path, capsys):
+        # ula at tau = 3 takes the primal to about 1e172 in 200 steps: every
+        # state is finite, but the squares overflow. This run used to exit 0
+        # with a variance of inf in summary.csv and null in the manifest.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "scenario=gauss1d", "sampler=ula", "tau=3", "lam=0.01",
+                         "n_steps=200", f"output_dir={tmp_path}/out"])
+        assert code == 3
+        assert "the moments of block 'x' are not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("block", ["x", "y"])
+    def test_overflowing_image_moments_are_a_regime_violation(
+            self, block, tmp_path, capsys, monkeypatch):
+        made = []
+
+        class Overflowing(cli.RunningMoments):
+            """The pixels' variance (the first one made, block x) or the
+            dual's (the second, block y) overflows."""
+
+            def __init__(self, select):
+                super().__init__(select)
+                made.append(self)
+
+            def variance(self):
+                wanted = self is made["xy".index(block)]
+                return super().variance() * (np.inf if wanted else 1.0)
+
+        monkeypatch.setattr(cli, "RunningMoments", Overflowing)
+        with np.errstate(invalid="ignore"):  # a variance of 0.0 times inf
+            code = main(["run", "scenario=tv_image", "width=8", "height=8", "n_chains=2",
+                         "n_steps=4", f"output_dir={tmp_path}/out"])
+        assert code == 3
+        assert f"the moments of block '{block}' are not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_io_error(self, tmp_path, capsys):
         code = main([
             "run", "scenario=tv_image", f"input_image={tmp_path}/missing.pgm",
@@ -486,9 +522,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("args, field", [
         (["sweep", "sweep_values=1", "n_chains=2", "n_steps=10", "burn_in=5"], "loglog_slope"),
-        (["run", "scenario=gauss1d", "sampler=ula", "tau=3", "lam=0.01", "n_steps=200"],
-         "empirical_variance"),
-    ], ids=["one_point_sweep", "overflowing_variance"])
+    ], ids=["one_point_sweep"])
     def test_manifest_is_strict_json(self, args, field, tmp_path):
         # a non-finite field is written as null, not as NaN or Infinity,
         # which strict JSON parsers reject

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from pdlangevin.models import tgv_image_target
 from pdlangevin.prox import (
     group_ball_projection,
+    group_norms,
     interval_projection,
     quadratic_data_prox,
     scaled_square_prox,
@@ -129,6 +130,19 @@ class TestProjections:
         with np.errstate(over="ignore"):
             out = group_ball_projection(1.0).at(0.0)(np.array([1e200, 1e200, 0.3, 0.4]))
         np.testing.assert_array_equal(out, [0.0, 0.0, 0.3, 0.4])
+
+
+@pytest.mark.parametrize("group_size", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e200])
+def test_group_norms_have_the_bits_of_linalg_norm(group_size, scale):
+    rng = np.random.default_rng(group_size)
+    g = scale * rng.standard_normal((4, 50, group_size))
+    g[0, :6] = [0.0, -0.0, 0.0][:group_size]
+    g[0, 6:12] = [-0.0, -0.0, -0.0][:group_size]
+    g[1] = g[1] * np.where(rng.uniform(size=(50, group_size)) < 0.5, -0.0, 1.0)
+    with np.errstate(over="ignore", under="ignore"):
+        ours, ref = group_norms(g), np.linalg.norm(g, axis=-1)
+    assert ours.tobytes() == ref.tobytes()
 
 
 def _ref_project_l2_ball_groups(v, alpha, group_size):

@@ -10,9 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pdlangevin import samplers
 from pdlangevin.analytic import GaussModel1D, stationary_cov_pd, target_variance
 from pdlangevin.linop import LinearMap
-from pdlangevin.models import gauss1d_target, tv2pixel_target, tv_image_target
+from pdlangevin.metrics import RunningMoments
+from pdlangevin.models import gauss1d_target, tgv_image_target, tv2pixel_target, tv_image_target
 from pdlangevin.prox import ProxOperator
 from pdlangevin.samplers import (
     ChainState,
@@ -733,6 +735,109 @@ class TestRunReducers:
             for (i, x, y), n in zip(reducer.seen, steps):
                 np.testing.assert_array_equal(x, xs[n])
                 np.testing.assert_array_equal(y, ys[n])
+
+
+def _slab_target(name):
+    if name == "gauss1d":
+        return gauss1d_target(BENCH)
+    noisy = np.random.default_rng(8).uniform(0.0, 1.0, 16 * 16)
+    if name == "tv16":
+        return tv_image_target(noisy, 0.1, 0.5, 16, 16)
+    return tgv_image_target(noisy, 0.1, 0.5, 1.0, 16, 16)
+
+
+class _RowCounter:
+    """Kernel x + xi that records the rows of every state it is handed."""
+
+    noise_dim, rowwise = 1, True
+
+    def __init__(self):
+        self.rows = []
+
+    def __call__(self, state, xi):
+        self.rows.append(state.x.shape[:-1])
+        return ChainState(x=state.x + xi[..., :1], y=state.y, x_prev=state.x)
+
+
+def _rows_per_step(x_shape, y_shape):
+    """The rows of the states the kernel of one Run.drive step sees."""
+    kernel = _RowCounter()
+    state = ChainState.initial(np.zeros(x_shape), np.zeros(y_shape))
+    Run(kernel, state, _streams(1), 1, range(2)).drive()
+    return kernel.rows
+
+
+def _two_row_slabs(monkeypatch, target):
+    """Make Run.drive step 9 chains of ``target`` in slabs of 2, 2, 2, 2, 1 rows."""
+    row_bytes = 8 * (target.dim_primal + target.dim_dual)
+    monkeypatch.setattr(samplers, "_SLAB_BYTES", 2 * row_bytes)
+    shapes = (9, target.dim_primal), (9, target.dim_dual)
+    assert _rows_per_step(*shapes) == [(2,)] * 4 + [(1,)]
+
+
+class TestSlabs:
+    """Run.drive steps an unbatched state larger than cache in slabs of
+    chain rows; every chain keeps its bits and the reducers still see one
+    full state per step."""
+
+    @pytest.mark.parametrize("name, kind, variant", [
+        ("gauss1d", "ulpda", "outer"), ("gauss1d", "ulpda", "inner"),
+        ("gauss1d", "ulpda", "general"), ("gauss1d", "ula", "outer"),
+        ("gauss1d", "prox_sub", "outer"), ("gauss1d", "modified_sde", "outer"),
+        ("tv16", "ulpda", "outer"), ("tv16", "ulpda", "inner"), ("tv16", "ulpda", "general"),
+        ("tv16", "prox_sub", "outer"),
+        ("tgv16", "ulpda", "outer"), ("tgv16", "ulpda", "inner"), ("tgv16", "ulpda", "general"),
+        ("tgv16", "prox_sub", "outer"),
+    ])
+    def test_slabbed_run_matches_one_slab_bit_for_bit(self, monkeypatch, name, kind, variant):
+        target = _slab_target(name)
+        params = _variant_params(target, variant)
+        rng = np.random.default_rng(2)
+        init = (rng.uniform(0.0, 1.0, (9, target.dim_primal)),
+                rng.uniform(-0.1, 0.1, (9, target.dim_dual)))
+
+        def drive():
+            run = prepare_run(target, params, 9, 12, burn_in=3, thinning=2, kind=kind,
+                              init=init)
+            kept, moments = KeepSamples(run), RunningMoments(lambda s: s.y)
+            run.drive(kept, moments)
+            return kept.xs, kept.ys, moments.mean(), moments.variance()
+
+        # the general variant's BLAS product is not row by row: it steps whole
+        assert make_step(kind, target, params).rowwise == (variant != "general")
+        whole = drive()
+        _two_row_slabs(monkeypatch, target)
+        slabbed = drive()
+        assert np.isfinite(whole[0]).all()
+        for a, b in zip(slabbed, whole):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["ulpda", "ula", "prox_sub", "modified_sde"])
+    def test_divergence_in_a_later_slab_names_the_same_chain_and_step(self, monkeypatch, kind):
+        # chain 7 sits in the fourth slab; the other chains start at 0
+        X, Y = np.zeros((9, 1)), np.zeros((9, 1))
+        (Y if kind == "ulpda" else X)[7] = 1e308 if kind == "ulpda" else 1e300
+        target = gauss1d_target(BENCH)
+
+        def diverge():
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DivergenceError) as caught:
+                    run_ensemble(target, SamplerParams(tau=3.0, lam=0.01, seed=1), n_chains=9,
+                                 n_steps=100, init=(X, Y), kind=kind)
+            return caught.value.chain, caught.value.step
+
+        whole = diverge()
+        _two_row_slabs(monkeypatch, target)
+        assert diverge() == whole and whole[0] == 7
+
+    @pytest.mark.parametrize("x_shape, y_shape, rows", [
+        ((10_000, 2), (10_000, 1), [(10_000,)]),  # tv2pixel_10k
+        ((24, 3 * 32 * 32), (24, 5 * 32 * 32), [(24,)]),  # tgv_image_32
+        ((4, 64, 1), (4, 64, 1), [(4, 64)]),  # gauss1d_sweep, batched
+        ((24, 128 * 128), (24, 2 * 128 * 128), [(2,)] * 12),  # tv_image_128
+    ], ids=["tv2pixel_10k", "tgv_image_32", "gauss1d_sweep", "tv_image_128"])
+    def test_slab_rule_at_the_bench_shapes(self, x_shape, y_shape, rows):
+        assert _rows_per_step(x_shape, y_shape) == rows
 
 
 def _adding_kernel(dim, pause=0.0, nan_at=None):
