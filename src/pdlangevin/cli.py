@@ -29,6 +29,7 @@ import numpy as np
 
 from .analytic import GaussModel1D, stationary_cov_pd, target_variance
 from .coupling import sweep
+from .linop import LinearMap
 from .metrics import EmpiricalMeasure, RunningMoments, moments, psnr, stationary_flag, w2_exact, w2_pool
 from .models import gauss1d_target, tgv_image_target, tv2pixel_target, tv_image_target
 from .samplers import (
@@ -356,15 +357,23 @@ def _build_problem(cfg: ScenarioConfig) -> _Problem:
     blocks = {}
     if variant == "general":  # (sqrt(2) I, 0) and 0: the outer variant on a joint draw
         d, m = target.dim_primal, target.dim_dual
-        blocks = dict(B_X=np.hstack([math.sqrt(2.0) * np.eye(d), np.zeros((d, m))]),
-                      B_Y=np.zeros((m, d + m)))
-    params = SamplerParams(tau=tau, lam=cfg.lam, theta=cfg.theta, noise_variant=variant,
-                           seed=cfg.seed, **blocks)
+        r2, zeros = math.sqrt(2.0), lambda a, k: np.zeros(a.shape[:-1] + (k,))
+        blocks = dict(
+            B_X=LinearMap(lambda xi: r2 * xi[..., :d],
+                          lambda v: np.concatenate([r2 * v, zeros(v, m)], axis=-1), d + m, d),
+            B_Y=LinearMap(lambda xi: zeros(xi, m), lambda v: zeros(v, d + m), d + m, m),
+        )
+    misfit = f"sampler {cfg.sampler!r} does not fit scenario {cfg.scenario!r}"
+    try:  # fails on a malformed noise block
+        params = SamplerParams(tau=tau, lam=cfg.lam, theta=cfg.theta, noise_variant=variant,
+                               seed=cfg.seed, **blocks)
+    except ValueError as e:
+        raise ConfigError(f"{misfit}: {e}") from e
     report = validate_params(target, params)
     try:
         make_step(kind, target, params)  # fails when the target lacks an oracle
     except ValueError as e:
-        raise ConfigError(f"sampler {cfg.sampler!r} does not fit scenario {cfg.scenario!r}: {e}") from e
+        raise ConfigError(f"{misfit}: {e}") from e
     return _Problem(target, kind, params, report, notes, **extra)
 
 

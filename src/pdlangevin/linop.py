@@ -20,7 +20,9 @@ class LinearMap:
     """A linear operator ``K`` given by its action and adjoint action.
 
     ``apply`` and ``adjoint`` act on the last axis, so batched inputs of
-    shape ``(..., d)`` are supported.
+    shape ``(..., d)`` are supported. Each row of their result depends on
+    that row alone, bit for bit (a dense map meets this through
+    ``np.matvec``, not BLAS ``x @ A.T``); the samplers' kernels rely on it.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]

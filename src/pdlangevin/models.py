@@ -32,7 +32,6 @@ def gauss1d_target(m: GaussModel1D) -> TargetSpec:
         fstar_prox=scaled_square_prox(1.0 / cf),  # f*(y) = c_f y^2 / 2
         K=scalar_map(k),
         g_grad=lambda x: x / cg,
-        h_grad=lambda x: x * (1.0 / cg + k**2 / cf),
         f_subgrad=lambda u: u / cf,
         f_grad=lambda u: u / cf,
         f_hess_apply=lambda u, w: w / cf,
@@ -59,16 +58,12 @@ def tv2pixel_target(x_obs, sigma_eps: float, alpha: float) -> TargetSpec:
     if sigma_eps <= 0 or alpha <= 0:
         raise ValueError("sigma_eps and alpha must be positive")
     var = sigma_eps**2
-
-    def f_subgrad(u):
-        return alpha * np.sign(u)
-
     return TargetSpec(
         g_prox=quadratic_data_prox(x_obs, var),
         fstar_prox=interval_projection(alpha),
         K=diff_pair(),
         g_grad=lambda x: (x - x_obs) / var,
-        f_subgrad=f_subgrad,
+        f_subgrad=lambda u: alpha * np.sign(u),
     )
 
 

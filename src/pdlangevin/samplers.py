@@ -37,7 +37,6 @@ class TargetSpec:
     fstar_prox: ProxOperator
     K: LinearMap
     g_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    h_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     f_subgrad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     f_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     f_hess_apply: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
@@ -59,18 +58,19 @@ class SamplerParams:
     ``sigma`` is always ``lam * tau`` exactly. ``noise_variant`` selects
     where the stochastic term enters: after the primal prox ("outer"),
     inside its argument ("inner"), or through constant coefficient blocks
-    acting on a joint draw ("general"). In the general variant the blocks
-    are the continuous-time coefficients; per step they enter scaled by
-    sqrt(tau), so B_X = (sqrt(2) I, 0), B_Y = 0 reproduces the outer
-    variant exactly.
+    acting on a joint draw ("general"). Only the general variant takes
+    B_X and B_Y, LinearMaps from the draw's ``dim_in`` values to the primal
+    and the dual: the continuous-time coefficients. Per step they enter
+    scaled by sqrt(tau), so B_X = (sqrt(2) I, 0), B_Y = 0 reproduces the
+    outer variant exactly.
     """
 
     tau: float
     lam: float
     theta: float = 1.0
     noise_variant: str = "outer"
-    B_X: Optional[np.ndarray] = None
-    B_Y: Optional[np.ndarray] = None
+    B_X: Optional[LinearMap] = None
+    B_Y: Optional[LinearMap] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -83,8 +83,10 @@ class SamplerParams:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.noise_variant not in ("outer", "inner", "general"):
             raise ValueError(f"unknown noise variant {self.noise_variant!r}")
-        if self.noise_variant == "general" and (self.B_X is None or self.B_Y is None):
-            raise ValueError("general noise variant requires B_X and B_Y")
+        want = LinearMap if self.noise_variant == "general" else type(None)
+        if not (isinstance(self.B_X, want) and isinstance(self.B_Y, want)):
+            raise ValueError("B_X and B_Y must be LinearMaps in the general noise variant "
+                             "and absent in the others")
 
     @property
     def sigma(self) -> float:
@@ -173,16 +175,10 @@ def validate_params(target: TargetSpec, params: SamplerParams) -> ValidationRepo
             f"theta={params.theta} outside both the theta=1 stability regime and "
             f"the contraction window [{theta_min_contr:.6g}, 1)"
         )
-    return ValidationReport(
-        L=L,
-        tau_sigma_L2=tsl,
-        stability_regime=stability,
-        contraction_regime=contraction,
-        bias_regime=bias,
-        theta_min_contraction=theta_min_contr,
-        theta_min_bias=theta_min_bias,
-        notes=notes,
-    )
+    return ValidationReport(L=L, tau_sigma_L2=tsl, stability_regime=stability,
+                            contraction_regime=contraction, bias_regime=bias,
+                            theta_min_contraction=theta_min_contr,
+                            theta_min_bias=theta_min_bias, notes=notes)
 
 
 def _ulpda_kernel(target: TargetSpec, shared: SamplerParams, c: dict) -> Kernel:
@@ -193,8 +189,11 @@ def _ulpda_kernel(target: TargetSpec, shared: SamplerParams, c: dict) -> Kernel:
     K, variant = target.K, shared.noise_variant
     fstar_prox, g_prox = target.fstar_prox.at(sigma), target.g_prox.at(tau)
     extrapolate = not np.all(np.equal(theta, 1.0))  # x * 1.0 is x, NaN and -0.0 too
-    if variant == "general":
-        B_XT, B_YT = np.asarray(shared.B_X).T, np.asarray(shared.B_Y).T
+    B_X, B_Y = shared.B_X, shared.B_Y
+    if variant == "general" and (B_X.dim_in, B_X.dim_out, B_Y.dim_out) != (
+            B_Y.dim_in, target.dim_primal, target.dim_dual):
+        raise ValueError(f"B_X and B_Y must map one noise dimension to {target.dim_primal} "
+                         f"primal and {target.dim_dual} dual values")
 
     def step(state: ChainState, xi: np.ndarray) -> ChainState:
         # Work in place only on arrays made here: the state's arrays, the
@@ -215,23 +214,24 @@ def _ulpda_kernel(target: TargetSpec, shared: SamplerParams, c: dict) -> Kernel:
         elif variant == "inner":
             drift_arg += root_2tau * xi
             x_new = g_prox(drift_arg)
-        else:  # general: xi is a joint (d + m)-dimensional draw
-            x_new = root_tau * (xi @ B_XT)
+        else:  # general: xi is a joint draw of B_X.dim_in values
+            x_new = root_tau * B_X.apply(xi)
             x_new += g_prox(drift_arg)
-            y_new = y_new + root_tau * (xi @ B_YT)
+            y_new = y_new + root_tau * B_Y.apply(xi)
         return ChainState(x=x_new, y=y_new, x_prev=state.x)
 
     return step
 
 
 def _ula_kernel(target: TargetSpec, shared: SamplerParams, c: dict) -> Kernel:
-    """Euler step of the overdamped primal diffusion; the dual is untouched."""
-    if target.h_grad is None:
-        raise ValueError("ula requires the full-potential gradient h_grad")
-    tau, root_2tau = c["tau"], c["root_2tau"]
+    """Euler step of the overdamped diffusion on g(x) + f(Kx); the dual is untouched."""
+    if target.g_grad is None or target.f_grad is None:
+        raise ValueError("ula requires g_grad and f_grad")
+    K, tau, root_2tau = target.K, c["tau"], c["root_2tau"]
 
     def step(state: ChainState, xi: np.ndarray) -> ChainState:
-        x_new = state.x - tau * target.h_grad(state.x) + root_2tau * xi
+        grad_h = target.g_grad(state.x) + K.adjoint(target.f_grad(K.apply(state.x)))
+        x_new = state.x - tau * grad_h + root_2tau * xi
         return ChainState(x=x_new, y=state.y, x_prev=state.x)
 
     return step
@@ -301,10 +301,6 @@ def _points(params: Params) -> tuple[SamplerParams, ...]:
     return points
 
 
-def _same_block(a, b) -> bool:
-    return a is b or (a is not None and b is not None and np.array_equal(a, b))
-
-
 def _coefficients(points: Sequence[SamplerParams], rows: Optional[tuple[int, ...]]) -> dict:
     """Each point's step sizes and noise scales: Python floats for an unbatched
     run (``rows`` None), else ``rows + (1,)`` arrays, point j's in row block j."""
@@ -323,16 +319,16 @@ def make_step(kind: str, target: TargetSpec, params: Params) -> Kernel:
 
     ``kind`` is "ulpda" (variant from ``params.noise_variant``), "ula",
     "prox_sub" or "modified_sde". Everything fixed for the run is settled
-    here, once: the oracle checks, the proxes bound to their step sizes
-    (a missing oracle or a step size a prox rejects raises ``ValueError``)
-    and the noise scales. The kernel maps the state and a standard-normal draw
+    here, once: the oracle and block checks, the proxes bound to their step
+    sizes (a missing oracle, blocks that do not give d and m values from one
+    draw, or a step size a prox rejects raises ``ValueError``) and the noise
+    scales. The kernel maps the state and a standard-normal draw
     ``xi`` of shape ``state.x.shape[:-1] + (step.noise_dim,)`` to the next
-    state; it does not check the dimensions of what it is given and never
-    writes into the state, the noise, or anything K or a prox returns.
-    Each kernel but the general variant's maps every chain row on its own,
-    so any slab of rows steps to the bits the whole state gives them
-    (``step.rowwise``); the general variant's BLAS product ``xi @ B.T``
-    can change bits with the number of rows.
+    state (``noise_dim`` is d, or the blocks' ``dim_in`` in the general
+    variant). It does not check the dimensions of what it is given and never
+    writes into the state, the noise, or anything K or a prox returns. Each
+    kernel maps every chain row on its own, as its LinearMaps do, so any
+    slab of rows steps to the bits the whole state gives them.
 
     ``params`` is one :class:`SamplerParams`, whose step sizes enter as
     scalars, or a sequence of P of them, one per point of a batched run.
@@ -342,7 +338,7 @@ def make_step(kind: str, target: TargetSpec, params: Params) -> Kernel:
     1) arrays, made once, so that its products have operands of one shape.
     Each element gets the IEEE result the scalar gives, so every point's
     chains are bit-identical to an unbatched run of that point. The points
-    must share the noise variant and blocks (``ValueError`` otherwise).
+    must share the noise variant and block objects (``ValueError`` otherwise).
     """
     return _make_step(kind, target, params, 1)
 
@@ -354,15 +350,13 @@ def _make_step(kind: str, target: TargetSpec, params: Params, n_rows: int) -> Ke
     points = _points(params)
     shared = points[0]
     for p in points[1:]:
-        if p.noise_variant != shared.noise_variant or not (
-            _same_block(p.B_X, shared.B_X) and _same_block(p.B_Y, shared.B_Y)
-        ):
+        if (p.noise_variant != shared.noise_variant
+                or p.B_X is not shared.B_X or p.B_Y is not shared.B_Y):
             raise ValueError("the points of a batched run must share the noise variant and blocks")
     rows = None if isinstance(params, SamplerParams) else (len(points), n_rows)
     step = _KERNELS[kind](target, shared, _coefficients(points, rows))
     general = kind == "ulpda" and shared.noise_variant == "general"
-    step.noise_dim = target.dim_primal + (target.dim_dual if general else 0)
-    step.rowwise = not general
+    step.noise_dim = shared.B_X.dim_in if general else target.dim_primal
     return step
 
 
@@ -466,10 +460,10 @@ class Run:
         raises.
 
         An unbatched state of over 4 * ``_SLAB_BYTES`` (3 MiB of x and y)
-        with a ``rowwise`` kernel (see :func:`make_step`) steps in slabs of
-        that many bytes of chain rows (at least one), copied into one new x
-        and y per step. Each numpy pass then stays in a 2 MiB L2, and every
-        chain keeps its bits. Batched runs and smaller states step whole.
+        steps in slabs of that many bytes of chain rows (at least one),
+        copied into one new x and y per step. Each numpy pass then stays in
+        a 2 MiB L2, and every chain keeps its bits (see :func:`make_step`).
+        Batched runs and smaller states step whole.
 
         Every state is checked before a reducer could see it: the sums of x
         and of y, and a search of the rows only when one of them is not
@@ -546,10 +540,9 @@ class Run:
 
 
 def _in_slabs(step: Kernel, x: np.ndarray, y: np.ndarray) -> Kernel:
-    """``step``, or, if it is ``rowwise`` and the state is unbatched and over
-    4 slabs, ``step`` on a slab of chain rows at a time (see :meth:`Run.drive`)."""
-    if not (getattr(step, "rowwise", False) and x.ndim == 2
-            and x.nbytes + y.nbytes > 4 * _SLAB_BYTES):
+    """``step``, or, if the state is unbatched and over 4 slabs, ``step`` on
+    a slab of chain rows at a time (see :meth:`Run.drive`)."""
+    if not (x.ndim == 2 and x.nbytes + y.nbytes > 4 * _SLAB_BYTES):
         return step
     n = max(1, _SLAB_BYTES // (x[0].nbytes + y[0].nbytes))
 

@@ -30,7 +30,7 @@ from pdlangevin.cli import (
     save_image_pgm,
     synthetic_phantom,
 )
-from pdlangevin.linop import grad2d
+from pdlangevin.linop import LinearMap, grad2d
 from pdlangevin.metrics import psnr
 from pdlangevin.samplers import run_ensemble
 
@@ -597,7 +597,51 @@ class TestValidateMatchesRun:
         ov = ["scenario=tv2pixel", "sampler=ula"]
         assert main(["validate", *ov]) == 2
         assert main(["run", *ov, "n_chains=2", "n_steps=5", f"output_dir={tmp_path}/out"]) == 2
-        assert "h_grad" in capsys.readouterr().err
+        assert "f_grad" in capsys.readouterr().err
+
+
+class TestGeneralNoise:
+    """ulpda_general places the outer variant's noise, (sqrt(2) I, 0) and 0,
+    through blocks that are LinearMaps on a joint draw of d + m values."""
+
+    def test_run_writes_its_artifacts(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "scenario=tv_image", "sampler=ulpda_general", "width=16",
+                     "height=16", "n_chains=4", "n_steps=40", "burn_in=20",
+                     f"output_dir={out}"]) == 0
+        for name in ("mmse.pgm", "variance_log10.pgm", "noisy.pgm", "summary.csv", "manifest.json"):
+            assert (out / name).exists()
+        assert json.loads((out / "manifest.json").read_text())["sampler"] == "ulpda_general"
+
+    def test_validate_memory_is_that_of_the_outer_variant(self, capsys):
+        # dense (d, d + m) and (m, d + m) blocks would take 72 MB at 32x32
+        def peak(sampler):
+            tracemalloc.start()
+            try:
+                assert main(["validate", "scenario=tv_image", "width=32", "height=32",
+                             f"sampler={sampler}"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        main(["validate", "scenario=tv_image", "width=32", "height=32"])  # untraced warm-up
+        outer, general = peak("ulpda_outer"), peak("ulpda_general")
+        assert abs(general - outer) <= 1 << 20, (outer, general)
+
+    @pytest.mark.parametrize("block, message", [
+        (lambda apply, adjoint, dim_in, dim_out: LinearMap(apply, adjoint, dim_in, 1),
+         "must map one noise dimension"),
+        (lambda apply, adjoint, dim_in, dim_out: np.zeros((dim_out, dim_in)),
+         "must be LinearMaps"),
+    ], ids=["one_row", "dense"])
+    def test_malformed_blocks_are_config_errors(self, block, message, monkeypatch, tmp_path,
+                                                capsys):
+        monkeypatch.setattr(cli, "LinearMap", block)
+        ov = ["scenario=tv_image", "sampler=ulpda_general", "width=4", "height=4"]
+        assert main(["validate", *ov]) == 2
+        assert main(["run", *ov, "n_chains=2", "n_steps=5", f"output_dir={tmp_path}/out"]) == 2
+        err = capsys.readouterr().err
+        assert err.count(message) == 2, err
 
 
 class TestInputImageIsReadOnce:

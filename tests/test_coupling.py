@@ -15,11 +15,18 @@ from pdlangevin.coupling import (
     run_coupled_pair,
     sweep,
 )
+from pdlangevin.linop import LinearMap
 from pdlangevin.metrics import EmpiricalMeasure, stationary_flag, w2_exact, w2_pool
 from pdlangevin.models import gauss1d_target, tv2pixel_target
 from pdlangevin.samplers import DivergenceError, SamplerParams, run_ensemble
 
 BENCH = GaussModel1D(1.0, 2.0, 1.5)
+
+
+def _dense_map(A):
+    """The LinearMap of a dense matrix, each row through ``np.matvec``."""
+    return LinearMap(apply=lambda x: np.matvec(A, x), adjoint=lambda y: np.matvec(A.T, y),
+                     dim_in=A.shape[1], dim_out=A.shape[0])
 
 
 def _tau_params(lam, seed=0):
@@ -97,8 +104,8 @@ class TestRunCoupledPair:
         # (d + m)-dimensional draw; shared noise cancels in the differences
         # of this affine chain, so the traces agree to rounding
         target = gauss1d_target(BENCH)
-        B_X = np.array([[np.sqrt(2.0), 0.0]])
-        B_Y = np.zeros((1, 2))
+        B_X = _dense_map(np.array([[np.sqrt(2.0), 0.0]]))
+        B_Y = _dense_map(np.zeros((1, 2)))
         kw = dict(tau=0.1, lam=1.0, theta=0.95, seed=5)
         a = (np.array([1.0]), np.array([0.5]))
         b = (np.array([-0.5]), np.array([0.2]))

@@ -279,3 +279,26 @@ class TestMatchesReferenceFormulas:
         _assert_same_bits(E.adjoint(q), _ref_sym_adjoint(q, w, h))
         X = rng.standard_normal((4, 3 * d))
         _assert_same_bits(E.apply(X[:, d:]), _ref_sym_apply(X[:, d:], w, h))
+
+
+_ROWWISE_MAPS = {
+    "scalar_map": lambda: scalar_map(-1.7),
+    "diff_pair": diff_pair,
+    "grad2d": lambda: grad2d(16, 16),
+    "sym_grad2d": lambda: sym_grad2d(16, 16),
+    "tgv_block": lambda: tgv_block(16, 16, sym_grad2d(16, 16)),
+}
+
+
+class TestRowwiseContract:
+    """Each row of ``apply`` and ``adjoint`` depends on that row alone, bit
+    for bit: the samplers step slabs of chain rows on this contract."""
+
+    @pytest.mark.parametrize("name", list(_ROWWISE_MAPS))
+    def test_slabs_of_rows_give_the_bits_of_the_whole_batch(self, name):
+        op = _ROWWISE_MAPS[name]()
+        rng = np.random.default_rng(7)
+        for f, dim in ((op.apply, op.dim_in), (op.adjoint, op.dim_out)):
+            rows = rng.standard_normal((9, dim))
+            slabs = np.concatenate([f(rows[a : a + 2]) for a in range(0, 9, 2)])
+            assert slabs.tobytes() == f(rows).tobytes()

@@ -34,6 +34,14 @@ from pdlangevin.samplers import (
 BENCH = GaussModel1D(1.0, 2.0, 1.5)
 
 
+def _dense_map(A):
+    """The LinearMap of a dense matrix, each row through ``np.matvec`` on its
+    own (a BLAS ``x @ A.T`` may change bits with the number of rows)."""
+    A = np.asarray(A, dtype=float)
+    return LinearMap(apply=lambda x: np.matvec(A, x), adjoint=lambda y: np.matvec(A.T, y),
+                     dim_in=A.shape[1], dim_out=A.shape[0])
+
+
 class TestSamplerParams:
     def test_sigma_is_lam_times_tau(self):
         p = SamplerParams(tau=0.25, lam=8.0)
@@ -50,6 +58,20 @@ class TestSamplerParams:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SamplerParams(**kwargs)
+
+    @pytest.mark.parametrize("variant", ["outer", "inner"])
+    def test_only_the_general_variant_takes_blocks(self, variant):
+        block = _dense_map([[math.sqrt(2.0), 0.0]])
+        for blocks in (dict(B_X=block, B_Y=block), dict(B_Y=block)):
+            with pytest.raises(ValueError, match="absent in the others"):
+                SamplerParams(tau=0.1, lam=1.0, noise_variant=variant, **blocks)
+
+    def test_blocks_must_be_linear_maps(self):
+        dense = np.array([[math.sqrt(2.0), 0.0]])
+        for blocks in (dict(B_X=dense, B_Y=_dense_map(dense)),
+                       dict(B_X=_dense_map(dense), B_Y=dense)):
+            with pytest.raises(ValueError, match="must be LinearMaps"):
+                SamplerParams(tau=0.1, lam=1.0, noise_variant="general", **blocks)
 
 
 class TestValidateParams:
@@ -130,8 +152,8 @@ class TestUlpdaStep:
     def test_general_noise_reproduces_outer(self):
         target = gauss1d_target(BENCH)
         d, m = 1, 1
-        B_X = np.hstack([np.sqrt(2.0) * np.eye(d), np.zeros((d, m))])
-        B_Y = np.zeros((m, d + m))
+        B_X = _dense_map(np.hstack([np.sqrt(2.0) * np.eye(d), np.zeros((d, m))]))
+        B_Y = _dense_map(np.zeros((m, d + m)))
         tau = 1e-2
         p_out = SamplerParams(tau=tau, lam=1.0, noise_variant="outer")
         p_gen = SamplerParams(tau=tau, lam=1.0, noise_variant="general", B_X=B_X, B_Y=B_Y)
@@ -153,6 +175,22 @@ class TestUlpdaStep:
         with pytest.raises(ValueError, match="bogus"):
             make_step("bogus", target, SamplerParams(tau=1e-2, lam=1.0))
 
+    def test_blocks_must_fit_the_target(self):
+        # a one-row B_Y for m = 40 would add one noise value to every dual
+        # coordinate; blocks of different noise dimensions cannot share a draw
+        target = _image_target()
+        d, m = target.dim_primal, target.dim_dual
+        rng = np.random.default_rng(4)
+        B_X, B_Y = _dense_map(rng.standard_normal((d, d + m))), _dense_map(np.ones((m, d + m)))
+        for bad in (dict(B_X=B_X, B_Y=_dense_map(np.ones((1, d + m)))),
+                    dict(B_X=_dense_map(np.ones((m, d + m))), B_Y=B_Y),
+                    dict(B_X=B_X, B_Y=_dense_map(np.ones((m, d))))):
+            p = SamplerParams(tau=1e-2, lam=1.0, noise_variant="general", **bad)
+            with pytest.raises(ValueError, match="must map one noise dimension"):
+                make_step("ulpda", target, p)
+        p = SamplerParams(tau=1e-2, lam=1.0, noise_variant="general", B_X=B_X, B_Y=B_Y)
+        assert make_step("ulpda", target, p).noise_dim == d + m
+
 
 def _ref_ulpda_step(state, target, params, xi):
     """The out-of-place formulas of the primal-dual step, for ``xi`` of
@@ -168,8 +206,8 @@ def _ref_ulpda_step(state, target, params, xi):
         x_new = target.g_prox.at(tau)(drift_arg + math.sqrt(2.0 * tau) * xi)
     else:
         root_tau = math.sqrt(tau)
-        x_new = target.g_prox.at(tau)(drift_arg) + root_tau * (xi @ np.asarray(params.B_X).T)
-        y_new = y_new + root_tau * (xi @ np.asarray(params.B_Y).T)
+        x_new = target.g_prox.at(tau)(drift_arg) + root_tau * params.B_X.apply(xi)
+        y_new = y_new + root_tau * params.B_Y.apply(xi)
     return ChainState(x=x_new, y=y_new, x_prev=state.x)
 
 
@@ -204,7 +242,8 @@ def _variant_params(target, variant):
     rng = np.random.default_rng(0)
     return SamplerParams(
         tau=1e-2, lam=1.0, theta=0.7, noise_variant="general",
-        B_X=rng.standard_normal((d, d + m)), B_Y=0.1 * rng.standard_normal((m, d + m)),
+        B_X=_dense_map(rng.standard_normal((d, d + m))),
+        B_Y=_dense_map(0.1 * rng.standard_normal((m, d + m))),
     )
 
 
@@ -281,9 +320,9 @@ class TestUlaStep:
         assert var == pytest.approx(target_variance(BENCH), rel=0.03)
 
     def test_missing_gradient(self):
-        target = tv2pixel_target(np.array([0.0, 1.0]), 1.0, 1.0)  # no h_grad
+        target = tv2pixel_target(np.array([0.0, 1.0]), 1.0, 1.0)  # no f_grad
         p = SamplerParams(tau=1e-2, lam=1.0)
-        with pytest.raises(ValueError, match="h_grad"):
+        with pytest.raises(ValueError, match="f_grad"):
             make_step("ula", target, p)
 
 
@@ -374,6 +413,14 @@ class TestRunEnsemble:
         small = run_ensemble(target, p, n_chains=2, n_steps=30)
         big = run_ensemble(target, p, n_chains=5, n_steps=30)
         np.testing.assert_array_equal(small.xs, big.xs[:, :2, :])
+        # the general variant too: its blocks map each row on its own
+        target = _slab_target("tv16")
+        p = _variant_params(target, "general")
+        small = run_ensemble(target, p, n_chains=5, n_steps=12)
+        big = run_ensemble(target, p, n_chains=9, n_steps=12)
+        assert np.isfinite(big.xs).all()
+        assert small.xs.tobytes() == big.xs[:, :5, :].tobytes()
+        assert small.ys.tobytes() == big.ys[:, :5, :].tobytes()
 
     def test_benchmark_variance_at_lam_100(self):
         m = GaussModel1D(1.0, 2.0, 1.5, lam=100.0)
@@ -639,14 +686,17 @@ class TestBatchedEnsemble:
             run_ensemble(target, mixed, n_chains=2, n_steps=5)
         with pytest.raises(ValueError, match="share the noise variant"):
             make_step("ulpda", target, mixed)
-        B_X, B_Y = np.array([[math.sqrt(2.0), 0.0]]), np.zeros((1, 2))
+        dense_X = np.array([[math.sqrt(2.0), 0.0]])
+        B_X, B_Y = _dense_map(dense_X), _dense_map(np.zeros((1, 2)))
         general = [SamplerParams(tau=1e-2, lam=1.0, noise_variant="general", B_X=B_X, B_Y=B_Y),
-                   SamplerParams(tau=2e-2, lam=1.0, noise_variant="general", B_X=2 * B_X, B_Y=B_Y)]
-        with pytest.raises(ValueError, match="share the noise variant"):
-            make_step("ulpda", target, general)
-        general[1] = SamplerParams(tau=2e-2, lam=1.0, noise_variant="general", B_X=B_X.copy(),
-                                   B_Y=B_Y)
+                   SamplerParams(tau=2e-2, lam=1.0, noise_variant="general", B_X=B_X, B_Y=B_Y)]
         assert make_step("ulpda", target, general).noise_dim == 2
+        # the points share the block objects themselves: an equal copy is another block
+        for other in (_dense_map(2 * dense_X), _dense_map(dense_X)):
+            general[1] = SamplerParams(tau=2e-2, lam=1.0, noise_variant="general", B_X=other,
+                                       B_Y=B_Y)
+            with pytest.raises(ValueError, match="share the noise variant"):
+                make_step("ulpda", target, general)
         with pytest.raises(ValueError, match="at least one"):
             make_step("ulpda", target, [])
 
@@ -656,7 +706,8 @@ class TestBatchedEnsemble:
         target = gauss1d_target(BENCH)
         blocks = {}
         if variant == "general":
-            blocks = dict(B_X=np.array([[math.sqrt(2.0), 0.3]]), B_Y=np.array([[0.1, -0.2]]))
+            blocks = dict(B_X=_dense_map([[math.sqrt(2.0), 0.3]]),
+                          B_Y=_dense_map([[0.1, -0.2]]))
         batch = [SamplerParams(tau=tau, lam=lam, theta=1.0, noise_variant=variant, seed=3,
                                **blocks) for tau, lam, _ in _POINTS]
         rng = np.random.default_rng(2)
@@ -749,7 +800,7 @@ def _slab_target(name):
 class _RowCounter:
     """Kernel x + xi that records the rows of every state it is handed."""
 
-    noise_dim, rowwise = 1, True
+    noise_dim = 1
 
     def __init__(self):
         self.rows = []
@@ -803,8 +854,6 @@ class TestSlabs:
             run.drive(kept, moments)
             return kept.xs, kept.ys, moments.mean(), moments.variance()
 
-        # the general variant's BLAS product is not row by row: it steps whole
-        assert make_step(kind, target, params).rowwise == (variant != "general")
         whole = drive()
         _two_row_slabs(monkeypatch, target)
         slabbed = drive()
