@@ -3,9 +3,9 @@
 Provides exact 2-Wasserstein distances between equally weighted empirical
 measures (sorted coupling in 1D, optimal assignment in general), moments,
 per-pixel variance maps (from a kept cloud, or streamed through
-``RunningMoments``), a half-split stationarity flag, and PSNR. scipy is
-imported by the one function that needs it, ``w2_exact``, so importing
-this module (and the CLI) does not load it; nor does it load
+``RunningMoments``), a half-split stationarity statistic and flag, and
+PSNR. scipy is imported by the one function that needs it, ``w2_exact``,
+so importing this module (and the CLI) does not load it; nor does it load
 ``concurrent.futures``, which only ``w2_pool`` imports.
 """
 
@@ -247,19 +247,29 @@ class RunningMoments:
         return self._m2 / (self.n - 1)
 
 
-def stationary_flag(primal: np.ndarray, threshold: float = 1e-2) -> bool:
-    """Whether the first primal coordinate of kept samples ``primal`` (shape
-    (n_kept, n_chains, dim)) looks stationary: the 1D W2 between the pooled
-    clouds of the first and second halves of the kept steps is below
-    ``threshold`` relative to the spread of all of them."""
+def stationary_statistic(primal: np.ndarray) -> float:
+    """The half-split drift of the first primal coordinate of kept samples
+    ``primal`` (shape (n_kept, n_chains, dim)): the 1D W2 between the pooled
+    clouds of the first and second halves of the kept steps, relative to the
+    spread of all of them; inf with fewer than two kept steps."""
     series = primal[..., 0].reshape(primal.shape[0], -1)
     half = series.shape[0] // 2
     if half < 1:
-        return False
+        return math.inf
     first = EmpiricalMeasure(series[:half].ravel())
     second = EmpiricalMeasure(series[half:].ravel())
     scale = float(np.std(series)) or 1.0
-    return w2_1d(first, second) / scale < threshold
+    return w2_1d(first, second) / scale
+
+
+# the statistic below which stationary_flag calls kept samples stationary
+STATIONARY_THRESHOLD = 1e-2
+
+
+def stationary_flag(primal: np.ndarray, threshold: float = STATIONARY_THRESHOLD) -> bool:
+    """Whether kept samples ``primal`` look stationary: their
+    :func:`stationary_statistic` is below ``threshold``."""
+    return stationary_statistic(primal) < threshold
 
 
 def psnr(reference: np.ndarray, estimate: np.ndarray, peak: float = 1.0) -> float:

@@ -105,7 +105,7 @@ class ChainState:
     def initial(cls, x: np.ndarray, y: np.ndarray) -> "ChainState":
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return cls(x=x, y=y, x_prev=x.copy())
+        return cls(x=x, y=y, x_prev=x)  # kernels never write into a state
 
 
 # step(state, xi) -> next state; built by make_step
@@ -401,9 +401,10 @@ _NOISE_CAP = 1 << 22
 # Bytes of chain rows per slab of Run.drive: 2 chains at 128x128 TV. A
 # state of 4 slabs or fewer steps whole: there per-call overhead dominates.
 _SLAB_BYTES = 768 << 10
-# Normals per generator call from which Run.drive draws on a worker thread.
-# The fill releases the GIL; below this the GIL hand-offs between the
-# threads cost more than the overlap saves (at 256 normals per call, a
+# Normals per generator call from which Run.drive draws on a worker thread,
+# and the size of its pipelined draws: each block is the fewest steps that
+# reach it. The fill releases the GIL; below this the GIL hand-offs between
+# the threads cost more than the overlap saves (at 256 normals per call, a
 # 64-chain gauss1d sweep ran 16-23% slower threaded).
 _PIPELINE_MIN_DRAW = 4096
 
@@ -437,26 +438,29 @@ class Run:
         Reducers keep what they need, not the states: a state held past the
         run would be freed after the noise buffers, and glibc's heap-trim
         threshold rises when a buffer that size is unmapped, so the heap
-        that held the states would stay mapped (peak RSS 381 -> 422 MB on
-        128x128 TV with 24 chains).
+        that held the states could stay mapped.
 
         Each generator draws once per step and ``np.broadcast_to`` hands
-        its draw to every row it serves. Noise is drawn ``block`` steps at a
-        time, in at most 2**22 doubles (32 MB) of buffers; each generator's
-        stream does not depend on the blocking.
+        its draw to every row it serves. Noise is drawn in blocks of at most
+        ``block`` steps, in at most 2**22 doubles (32 MB) of buffers; each
+        generator's stream does not depend on the blocking.
 
-        When each generator call draws at least ``_PIPELINE_MIN_DRAW``
-        normals and the run takes more than one block, the cap is split into
-        two buffers: one worker thread fills block b + 1 into the idle
-        buffer while the kernel steps through block b, and the loop waits
-        for that fill before it starts block b + 1 (the fill releases the
-        GIL). Otherwise one full-cap buffer is filled inline, before each
-        block. Either way, during the run only one thread at a time touches
-        the generators, in the same order, so every stream and every state
-        is the same bit for bit. This holds because kernels never write into
-        ``xi`` and never return a view of it: a state that kept one would
-        change under the next fill. A fill that raises re-raises here
-        unchanged, and the worker has exited when ``drive`` returns or
+        The run is pipelined when its lead, the fewest steps at which each
+        generator call draws ``_PIPELINE_MIN_DRAW`` normals, is shorter than
+        the run and fits within ``block`` steps and within half the cap (a
+        one-step lead always fits): one step at 128x128 TV, two at 32x32
+        TGV. Its blocks are then lead steps long, in two buffers: one worker
+        thread fills block b + 1 into the idle buffer while the kernel steps
+        through block b, and the loop waits for that fill before it starts
+        block b + 1 (the fill releases the GIL). Drawing further ahead buys
+        no speed and holds memory. Otherwise blocks of ``block`` steps, or
+        as many as the cap holds, are filled inline into one buffer before
+        each block. Either way, during the run only one thread at a time
+        touches the generators, in the same order, so every stream and every
+        state is the same bit for bit. This holds because kernels never
+        write into ``xi`` and never return a view of it: a state that kept
+        one would change under the next fill. A fill that raises re-raises
+        here unchanged, and the worker has exited when ``drive`` returns or
         raises.
 
         An unbatched state of over 4 * ``_SLAB_BYTES`` (3 MiB of x and y)
@@ -475,9 +479,9 @@ class Run:
         step = _in_slabs(step, state.x, state.y)
         streams = rngs.ravel()
         per_step = max(1, streams.size * dim)
-        half = max(1, min(block, (_NOISE_CAP // 2) // per_step))
-        pipelined = half < n_steps and half * dim >= _PIPELINE_MIN_DRAW
-        block = half if pipelined else max(1, min(block, _NOISE_CAP // per_step))
+        lead = -(-_PIPELINE_MIN_DRAW // max(1, dim))  # fewest steps that draw that many
+        pipelined = lead < n_steps and lead <= max(1, min(block, (_NOISE_CAP // 2) // per_step))
+        block = lead if pipelined else max(1, min(block, _NOISE_CAP // per_step))
         buffers = [np.empty((min(block, n_steps), streams.size, dim)) for _ in range(1 + pipelined)]
         # the draws' shape with unit axes for the rows the generators do not span
         drawn = (1,) * (len(rows) - rngs.ndim) + rngs.shape + (dim,)
@@ -648,7 +652,7 @@ def run_ensemble(
 ):
     """Run ``n_chains`` independent chains and collect thinned samples: the
     :class:`Run` of :func:`prepare_run` (its arguments are this function's),
-    driven with one :class:`KeepSamples` and noise blocks of
+    driven with one :class:`KeepSamples` and noise blocks of at most
     ``noise_block`` steps (see :meth:`Run.drive`). Each chain owns a
     counter-based RNG stream derived from ``(params.seed, chain_index)``, so
     results are bit-reproducible and independent of batching and blocking.

@@ -190,6 +190,19 @@ class TestScenarios:
         assert len(rows) == 11
         assert float(rows[-1][1]) > 0
 
+    def test_tv2pixel_manifest_states_its_stationarity_statistic(self, tmp_path):
+        cfg = parse_config(None, overrides=[
+            "scenario=tv2pixel", "lam=100", "tau=0.01", "n_chains=200", "n_steps=300",
+            "burn_in=100", "thinning=10", "n_checkpoints=2", "ref_samples=200",
+            f"output_dir={tmp_path}/out",
+        ])
+        extra = run_scenario(cfg)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        statistic = manifest["stationary_statistic"]
+        assert statistic == extra["stationary_statistic"]
+        assert math.isfinite(statistic) and statistic >= 0.0
+        assert manifest["stationary"] is (statistic < 1e-2)
+
     @pytest.mark.parametrize("n_chains, ref_samples", [(300, 200), (200, 300)])
     def test_tv2pixel_artifacts_do_not_depend_on_the_solve_threads(
         self, tmp_path, monkeypatch, n_chains, ref_samples

@@ -16,6 +16,8 @@ from pdlangevin.metrics import (
     pixelwise_variance,
     _sq_dist_matrix,
     psnr,
+    stationary_flag,
+    stationary_statistic,
     w2_1d,
     w2_exact,
     w2_pool,
@@ -311,6 +313,29 @@ class TestRunningMoments:
         moments_.add(np.ones((2, 3)))
         with pytest.raises(ValueError):
             moments_.add(np.ones((2, 1)))
+
+
+class TestStationaryStatistic:
+    def test_flag_is_the_statistic_below_its_threshold(self):
+        # the later kept steps hold the earlier ones' values, shuffled and
+        # shifted, so the statistic is near the shift: both sides of 1e-2
+        rng = np.random.default_rng(4)
+        flags = []
+        for shift in rng.uniform(0.0, 0.02, 24):
+            n_kept = int(rng.integers(1, 4)) * 2
+            first = rng.standard_normal((n_kept // 2, 30, 2))
+            second = rng.permutation(first.reshape(-1, 2)).reshape(first.shape) + shift
+            cloud = np.concatenate([first, second])
+            statistic = stationary_statistic(cloud)
+            assert math.isfinite(statistic) and statistic >= 0.0
+            assert stationary_flag(cloud) == (statistic < 1e-2)
+            flags.append(stationary_flag(cloud))
+        assert any(flags) and not all(flags)
+
+    def test_one_kept_step_has_no_statistic(self):
+        cloud = np.zeros((1, 10, 2))
+        assert stationary_statistic(cloud) == math.inf
+        assert not stationary_flag(cloud)
 
 
 class TestPsnr:

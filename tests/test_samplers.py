@@ -502,33 +502,55 @@ class TestRunEnsemble:
             np.testing.assert_array_equal(store.xs, full.xs[steps])
             np.testing.assert_array_equal(store.ys, full.ys[steps])
 
-    def test_peak_memory_bounded_by_kept_samples_and_noise_cap(self):
-        # Deterministic memory guard, no timing: at 128x128 with 24 chains
-        # the traced peak must stay within the kept samples, one 32 MB
-        # noise block and a few ensemble-sized step temporaries. Drawing
-        # the whole run's noise at once (40 steps: 126 MB) or collecting
-        # the kept samples in a list before stacking them (another 57 MB)
-        # breaks the bound.
-        w = h = 128
-        n_chains, n_steps, thinning = 24, 40, 8
-        noisy = np.random.default_rng(0).uniform(0.0, 1.0, w * h)
-        target = tv_image_target(noisy, 0.1, 3.0, w, h)
+    @staticmethod
+    def _peak_over_kept_samples(target, noisy, n_steps):
+        """The traced peak of an image run of 24 chains started at ``noisy``,
+        less its kept samples; and the bytes of one state and of one
+        pipelined noise block."""
+        n_chains, thinning = 24, 8
+        x0 = np.zeros(target.dim_primal)  # TGV: the image pixels, then w = 0
+        x0[: noisy.size] = noisy
         p = SamplerParams(tau=0.003, lam=10.0, seed=1)
         target.K.norm()
         tracemalloc.start()
         try:
             store = run_ensemble(
                 target, p, n_chains=n_chains, n_steps=n_steps, thinning=thinning,
-                init=(np.tile(noisy, (n_chains, 1)), np.zeros((n_chains, target.dim_dual))),
+                init=(np.tile(x0, (n_chains, 1)), np.zeros((n_chains, target.dim_dual))),
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        kept_bytes = store.xs.nbytes + store.ys.nbytes
-        assert store.xs.shape == (1 + n_steps // thinning, n_chains, w * h)
+        assert store.xs.shape == (1 + n_steps // thinning, n_chains, target.dim_primal)
         state_bytes = n_chains * (target.dim_primal + target.dim_dual) * 8
-        noise_cap_bytes = (1 << 22) * 8
-        assert peak <= kept_bytes + noise_cap_bytes + 6 * state_bytes
+        lead = -(-_PIPELINE_MIN_DRAW // target.dim_primal)
+        block_bytes = lead * n_chains * target.dim_primal * 8
+        return peak - store.xs.nbytes - store.ys.nbytes, state_bytes, block_bytes
+
+    def test_peak_memory_bounded_by_kept_samples_and_noise_cap(self):
+        # Deterministic memory guard, no timing: at 128x128 with 24 chains
+        # the traced peak must stay within the kept samples, two one-step
+        # noise blocks (6.3 MB) and four states (9.4 MB each). Measured: the
+        # kept samples plus 41.5 MB. Drawing noise further ahead than the
+        # pipeline needs (the whole run: 126 MB; 5 steps a block: 31.5 MB),
+        # collecting the kept samples in a list before stacking them
+        # (another 57 MB) or copying x into the initial x_prev breaks it.
+        noisy = np.random.default_rng(0).uniform(0.0, 1.0, 128 * 128)
+        target = tv_image_target(noisy, 0.1, 3.0, 128, 128)
+        extra, state_bytes, block_bytes = self._peak_over_kept_samples(target, noisy, 40)
+        assert block_bytes == 24 * 128 * 128 * 8
+        assert extra <= 2 * block_bytes + 4 * state_bytes
+
+    def test_tgv_peak_memory_bounded_by_kept_samples_and_two_noise_blocks(self):
+        # The TGV twin at 32x32: a pipelined block is two steps (2 x 3,072
+        # normals per generator call), so the two buffers hold 2.4 MB, and a
+        # state is 1.6 MB. Measured: the kept samples plus 10.7 MB; 28-step
+        # blocks (33 MB) break the bound.
+        noisy = np.random.default_rng(0).uniform(0.0, 1.0, 32 * 32)
+        target = tgv_image_target(noisy, 0.1, 10.0, 20.0, 32, 32)
+        extra, state_bytes, block_bytes = self._peak_over_kept_samples(target, noisy, 60)
+        assert block_bytes == 2 * 24 * 3 * 32 * 32 * 8
+        assert extra <= 2 * block_bytes + 6 * state_bytes
 
 
 def _diverging_init(kind):
@@ -953,20 +975,48 @@ class TestPipelinedNoise:
 
     def test_threaded_and_inline_draws_give_the_same_chains(self):
         before = threading.active_count()
-        # 1024 normals per step and chain: blocks of 2 steps are drawn inline,
-        # blocks of 7 on the worker; 1000 steps make one block, drawn inline
+        # 1024 normals per step and chain: blocks of at most 2 steps are
+        # drawn inline, blocks of at most 7 or 1000 steps on the worker, in
+        # draws of the fewest steps that reach _PIPELINE_MIN_DRAW
         assert 2 * 1024 < _PIPELINE_MIN_DRAW <= 7 * 1024
         inline, inline_threads = self._tv_run(noise_block=2)
         threaded, threaded_threads = self._tv_run(noise_block=7)
         whole, whole_threads = self._tv_run(noise_block=1000)
         bigger, _ = self._tv_run(noise_block=7, n_chains=5)
-        assert (inline_threads, threaded_threads, whole_threads) == (before, before + 1, before)
+        assert (inline_threads, threaded_threads, whole_threads) == (before, before + 1, before + 1)
         for store in (threaded, whole):
             np.testing.assert_array_equal(store.xs, inline.xs)
             np.testing.assert_array_equal(store.ys, inline.ys)
         np.testing.assert_array_equal(bigger.xs[:, :3], threaded.xs)
         np.testing.assert_array_equal(bigger.ys[:, :3], threaded.ys)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("dim, n_steps, block, sizes, threaded", [
+        (3072, 9, 256, [2, 2, 2, 2, 1], True),  # 32x32 TGV: 2 steps reach 4096 normals
+        (_PIPELINE_MIN_DRAW, 3, 256, [1, 1, 1], True),
+        (3072, 2, 256, [2], False),  # the run is one pipelined block long
+        (1024, 9, 3, [3, 3, 3], False),  # 4 steps would reach it, blocks hold 3
+    ])
+    def test_pipelined_blocks_are_the_fewest_steps_that_reach_the_draw(
+            self, dim, n_steps, block, sizes, threaded):
+        before = threading.active_count()
+        drawn, seen = [], []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                drawn.append(size)
+                return self.rng.standard_normal(size)
+
+        step, _ = _adding_kernel(dim)
+        state = ChainState.initial(np.zeros((2, dim)), np.zeros((2, 1)))
+        streams = np.array([Recording(r) for r in _streams(2)], dtype=object)
+        Run(step, state, streams, n_steps, range(n_steps + 1)).drive(
+            lambda i, s: seen.append(threading.active_count()), block=block)
+        assert drawn == [(nb, dim) for nb in sizes for _ in range(2)]
+        assert max(seen) == before + threaded
 
     def test_noise_holds_still_while_the_kernel_reads_it(self):
         # the worker fills the next block while a step pauses; it must fill
@@ -1001,7 +1051,7 @@ class TestPipelinedNoise:
             Run(step, state, streams, 10, range(11)).drive(
                 lambda i, s: seen.append(threading.active_count()), block=2)
         assert caught.value is error
-        assert seen[-1] == before + 1 and len(seen) == 5  # blocks 0 and 1 were stepped
+        assert seen[-1] == before + 1 and len(seen) == 3  # 1-step blocks 0 and 1 were stepped
         assert threading.active_count() == before
 
     def test_divergence_mid_run_stops_the_worker(self):
