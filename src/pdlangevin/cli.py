@@ -10,7 +10,10 @@ Config files are flat ``key = value`` text (UTF-8, ``#`` comments); every
 key can be overridden on the command line as trailing ``key=value``
 arguments. Exit codes: 0 success, 2 config error, 3 step-size regime
 violation, diverged chain or overflowed moments, 4 IO error (missing or
-malformed file).
+malformed file). ``run``, ``sweep`` and ``validate`` share one problem
+builder, so they reject the same configs with the same code, and ``run``
+writes nothing on exit 2 or 4 or on an exit 3 found before sampling. The
+sweep runs the configured sampler, at a configured tau if one is set.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -224,16 +227,15 @@ class ScenarioConfig:
                      "ref_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.burn_in < 0:
-            raise ConfigError("burn_in must be nonnegative")
+        for name in ("burn_in", "seed"):  # SeedSequence rejects a negative seed
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         kept = len(kept_steps(self.n_steps, self.burn_in, self.thinning))
         if self.n_chains * kept < 2:
             raise ConfigError(
                 f"n_chains * kept steps must be >= 2 for a variance, got "
                 f"{self.n_chains} * {kept}: add chains or lower burn_in"
             )
-        if self.scenario == "sweep":  # before run_scenario makes output_dir
-            _sweep_values(self)
 
 
 _CONFIG_TYPES = {f.name: f.type for f in dc_fields(ScenarioConfig)}
@@ -297,31 +299,73 @@ def gauss1d_stepsizes(lam: float, k: float, c: float) -> tuple[float, float]:
 
 @dataclass
 class _Problem:
-    """One scenario's target with its resolved sampler and step sizes."""
+    """One scenario's target with its resolved sampler and checked step
+    sizes. ``params`` and ``report`` are those of the run; for the sweep
+    they are lists, one entry per value of ``grid``, in grid order."""
 
     target: TargetSpec
     kind: str
-    params: SamplerParams
-    report: ValidationReport
+    params: SamplerParams | list[SamplerParams]
+    report: ValidationReport | list[ValidationReport]
     notes: list[str]  # changes made to the configured values
-    model: Optional[GaussModel1D] = None  # gauss1d
+    grid: list[float] = field(default_factory=list)  # sweep
+    reference: Optional[SamplerParams] = None  # tv2pixel: the fine-step reference ensemble
+    model: Optional[GaussModel1D] = None  # gauss1d, sweep
     clean: Optional[ImageGrid] = None  # image scenarios
     noisy: Optional[ImageGrid] = None
     input_bytes: bytes = b""
 
+    def manifest_fields(self) -> dict:
+        """The step sizes and regime flags of a single run; a sweep's
+        several points have no one set of flags, so they are null."""
+        flags = ("stability_regime", "contraction_regime", "bias_regime")
+        if self.grid:
+            return dict.fromkeys(("L", *flags))
+        return {"tau": self.params.tau, "sigma": self.params.sigma, "L": self.report.L,
+                **{flag: bool(getattr(self.report, flag)) for flag in flags}}
+
+
+def _sweep_values(cfg: ScenarioConfig) -> list[float]:
+    """The sweep grid, in the order the sweep needs: step ratios strictly
+    increasing, step sizes strictly decreasing."""
+    try:
+        values = [float(s) for s in cfg.sweep_values.split(",") if s.strip()]
+    except ValueError as e:
+        raise ConfigError(f"bad sweep_values {cfg.sweep_values!r}") from e
+    if not values:
+        raise ConfigError("sweep_values is empty")
+    if not all(0 < v < math.inf for v in values):
+        raise ConfigError(f"sweep_values must be finite and positive, got {cfg.sweep_values!r}")
+    pairs = list(zip(values, values[1:]))
+    if cfg.sweep_kind == "lambda":
+        if any(b <= a for a, b in pairs):
+            raise ConfigError("lambda sweep_values must be strictly increasing")
+    elif cfg.sweep_kind == "tau":
+        if any(b >= a for a, b in pairs):
+            raise ConfigError("tau sweep_values must be strictly decreasing")
+    else:
+        raise ConfigError(f"unknown sweep_kind {cfg.sweep_kind!r}")
+    return values
+
 
 def _build_problem(cfg: ScenarioConfig) -> _Problem:
-    """Build the target, step size and sampler parameters of a single-run
-    scenario; ``run`` and ``validate`` both start here, so they agree."""
-    extra, notes = {}, []
-    if cfg.scenario == "gauss1d":
-        model = GaussModel1D(cfg.c_f, cfg.c_g, cfg.k, lam=cfg.lam)
+    """Build and check the target and every ``SamplerParams`` a scenario
+    runs, the sweep's points and tv2pixel's reference ensemble included.
+    ``run``, ``sweep`` and ``validate`` all start here, so they agree, and
+    ``run`` makes its output directory only after this returns."""
+    extra, notes, grid = {}, [], []
+    if cfg.scenario in ("gauss1d", "sweep"):
+        extra["model"] = model = GaussModel1D(cfg.c_f, cfg.c_g, cfg.k, lam=cfg.lam)
         target = gauss1d_target(model)
-        tau = cfg.tau if cfg.tau > 0 else gauss1d_stepsizes(cfg.lam, cfg.k, cfg.c)[0]
-        extra["model"] = model
+        grid = _sweep_values(cfg) if cfg.scenario == "sweep" else []
+        if grid and cfg.sweep_kind == "tau":  # each step size at the configured ratio
+            steps = [(tau, cfg.lam) for tau in grid]
+        else:  # at each step ratio, the configured tau or else the gauss1d step rule
+            steps = [(cfg.tau if cfg.tau > 0 else gauss1d_stepsizes(lam, cfg.k, cfg.c)[0], lam)
+                     for lam in grid or [cfg.lam]]
     elif cfg.scenario == "tv2pixel":
         target = tv2pixel_target(np.array([cfg.x_obs1, cfg.x_obs2]), cfg.sigma_eps, cfg.alpha)
-        tau = cfg.tau if cfg.tau > 0 else 1e-2
+        steps = [(cfg.tau if cfg.tau > 0 else 1e-2, cfg.lam)]
     else:  # tv_image, tgv_image
         if cfg.input_image:
             # one read: the manifest hashes the bytes that were parsed
@@ -352,6 +396,7 @@ def _build_problem(cfg: ScenarioConfig) -> _Problem:
                 f"tau lowered from {tau:.6g} to {clamped:.6g} so that theta*tau*sigma*L^2 <= 1"
             )
             tau = clamped
+        steps = [(tau, cfg.lam)]
     ulpda = cfg.sampler.startswith("ulpda_")
     kind = "ulpda" if ulpda else cfg.sampler
     variant = cfg.sampler.removeprefix("ulpda_") if ulpda else "outer"
@@ -366,16 +411,21 @@ def _build_problem(cfg: ScenarioConfig) -> _Problem:
         )
     misfit = f"sampler {cfg.sampler!r} does not fit scenario {cfg.scenario!r}"
     try:  # fails on a malformed noise block
-        params = SamplerParams(tau=tau, lam=cfg.lam, theta=cfg.theta, noise_variant=variant,
-                               seed=cfg.seed, **blocks)
+        points = [SamplerParams(tau=tau, lam=lam, theta=cfg.theta, noise_variant=variant,
+                                seed=cfg.seed, **blocks) for tau, lam in steps]
     except ValueError as e:
         raise ConfigError(f"{misfit}: {e}") from e
-    report = validate_params(target, params)
+    reports = [validate_params(target, p) for p in points]
+    params, report = (points, reports) if grid else (points[0], reports[0])
     try:
         make_step(kind, target, params)  # fails when the target lacks an oracle
     except ValueError as e:
         raise ConfigError(f"{misfit}: {e}") from e
-    return _Problem(target, kind, params, report, notes, **extra)
+    if cfg.scenario == "tv2pixel":  # lam = infinity proxy at a much finer step
+        extra["reference"] = SamplerParams(tau=params.tau / cfg.ref_tau_factor, lam=cfg.lam,
+                                           seed=cfg.seed + 1)
+        validate_params(target, extra["reference"])
+    return _Problem(target, kind, params, report, notes, grid, **extra)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -392,20 +442,12 @@ def _content_hash(cfg: ScenarioConfig, extra_bytes: bytes = b"") -> str:
     return hashlib.sha256(payload + extra_bytes).hexdigest()
 
 
-def _write_manifest(outdir: Path, cfg: ScenarioConfig, report, extra: dict, input_bytes: bytes = b"") -> Path:
-    """Write ``manifest.json``: the config, the step-size report, the content
-    hash and the run's ``extra`` fields, as strict JSON (a non-finite
-    float, such as the slope of a one-point sweep, is written as null)."""
+def _write_manifest(outdir: Path, cfg: ScenarioConfig, extra: dict, input_bytes: bytes = b"") -> Path:
+    """Write ``manifest.json``: the config, the content hash and the run's
+    ``extra`` fields, as strict JSON (a non-finite float, such as the slope
+    of a one-point sweep, is written as null)."""
     manifest = {f.name: getattr(cfg, f.name) for f in dc_fields(cfg)}
-    manifest.update(
-        {
-            "L": report.L if report is not None else None,
-            "stability_regime": bool(report.stability_regime) if report else None,
-            "contraction_regime": bool(report.contraction_regime) if report else None,
-            "bias_regime": bool(report.bias_regime) if report else None,
-            "content_hash": _content_hash(cfg, input_bytes),
-        }
-    )
+    manifest["content_hash"] = _content_hash(cfg, input_bytes)
     manifest.update(extra)
     manifest = {
         k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in manifest.items()
@@ -466,12 +508,9 @@ def _run_tv2pixel(cfg: ScenarioConfig, prob: _Problem, outdir: Path) -> dict:
     worker threads while the chains keep stepping; the curve is read in
     checkpoint order once the run is done.
     """
-    target, params, tau = prob.target, prob.params, prob.params.tau
-
-    # lam = infinity proxy at a much finer step as the reference cloud
-    ref_params = SamplerParams(tau=tau / cfg.ref_tau_factor, lam=cfg.lam, seed=cfg.seed + 1)
+    target, params = prob.target, prob.params
     ref_store = run_ensemble(
-        target, ref_params, n_chains=cfg.ref_samples,
+        target, prob.reference, n_chains=cfg.ref_samples,
         n_steps=cfg.n_steps, burn_in=max(cfg.n_steps - 1, 0), kind="prox_sub",
     )
     reference = EmpiricalMeasure(ref_store.final_x)
@@ -559,57 +598,19 @@ def _run_image(cfg: ScenarioConfig, prob: _Problem, outdir: Path) -> dict:
     }
 
 
-def _sweep_values(cfg: ScenarioConfig) -> list[float]:
-    """The sweep grid, in the order the sweep needs: step ratios strictly
-    increasing, step sizes strictly decreasing."""
-    try:
-        values = [float(s) for s in cfg.sweep_values.split(",") if s.strip()]
-    except ValueError as e:
-        raise ConfigError(f"bad sweep_values {cfg.sweep_values!r}") from e
-    if not values:
-        raise ConfigError("sweep_values is empty")
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"sweep_values must be finite, got {cfg.sweep_values!r}")
-    pairs = list(zip(values, values[1:]))
-    if cfg.sweep_kind == "lambda":
-        if any(b <= a for a, b in pairs):
-            raise ConfigError("lambda sweep_values must be strictly increasing")
-    elif cfg.sweep_kind == "tau":
-        if any(b >= a for a, b in pairs):
-            raise ConfigError("tau sweep_values must be strictly decreasing")
-    else:
-        raise ConfigError(f"unknown sweep_kind {cfg.sweep_kind!r}")
-    return values
-
-
-def _sweep_params(cfg: ScenarioConfig) -> Callable[[float], SamplerParams]:
-    """The sampler parameters of one sweep point: a step ratio with the
-    gauss1d step rule, or a step size at the configured ratio."""
-    fixed = dict(theta=cfg.theta, seed=cfg.seed)
-    if cfg.sweep_kind == "lambda":
-        return lambda lam: SamplerParams(tau=gauss1d_stepsizes(lam, cfg.k, cfg.c)[0],
-                                         lam=lam, **fixed)
-    return lambda tau: SamplerParams(tau=tau, lam=cfg.lam, **fixed)
-
-
-def _run_sweep(cfg: ScenarioConfig, outdir: Path) -> dict:
-    values = _sweep_values(cfg)
-    model = GaussModel1D(cfg.c_f, cfg.c_g, cfg.k, lam=cfg.lam)
-    lam_sweep = cfg.sweep_kind == "lambda"
+def _run_sweep(cfg: ScenarioConfig, prob: _Problem, outdir: Path) -> dict:
+    """The stationary W2 gap at each grid point, to the target for a step
+    ratio sweep and to the continuous-time stationary law for a step size
+    sweep; one batched run of the builder's points."""
+    model, lam_sweep = prob.model, cfg.sweep_kind == "lambda"
     reference = (0.0, target_variance(model) if lam_sweep else stationary_cov_pd(model)[0, 0])
-    result = sweep(
-        gauss1d_target(model), values, _sweep_params(cfg), reference, n_chains=cfg.n_chains,
-        n_steps=cfg.n_steps, burn_in=cfg.burn_in, thinning=cfg.thinning,
-    )
+    result = sweep(prob.target, prob.grid, dict(zip(prob.grid, prob.params)).__getitem__,
+                   reference, n_chains=cfg.n_chains, n_steps=cfg.n_steps, burn_in=cfg.burn_in,
+                   thinning=cfg.thinning, kind=prob.kind)
     slope = result.loglog_slope()
-    _write_csv(
-        outdir / "sweep.csv",
-        [cfg.sweep_kind, "w2", "stationary", "loglog_slope"],
-        [
-            [v, w, bool(s), slope]
-            for v, w, s in zip(result.values, result.w2, result.stationary)
-        ],
-    )
+    _write_csv(outdir / "sweep.csv", [cfg.sweep_kind, "w2", "stationary", "loglog_slope"],
+               [[v, w, bool(s), slope]
+                for v, w, s in zip(result.values, result.w2, result.stationary)])
     return {"loglog_slope": slope}
 
 
@@ -618,25 +619,24 @@ _RUNNERS = {
     "tv2pixel": _run_tv2pixel,
     "tv_image": _run_image,
     "tgv_image": _run_image,
+    "sweep": _run_sweep,
 }
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
-    """Execute one configured experiment and write its artifacts. Each
+    """Execute one configured experiment and write its artifacts. The
+    problem is built and checked before the output directory is made, so
+    a config error or a step-size violation leaves no directory. Each
     runner writes its own files and returns its own manifest fields; the
-    manifest, and its step sizes for a single run, are written here.
-    Returns the fields the run added to the config in the manifest."""
+    manifest, with the build's step sizes and regime flags, is written
+    here. Returns the fields the run added to the config in the manifest."""
     cfg.validate()
+    prob = _build_problem(cfg)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if cfg.scenario == "sweep":
-        extra, report, input_bytes = _run_sweep(cfg, outdir), None, b""
-    else:
-        prob = _build_problem(cfg)
-        extra = {"tau": prob.params.tau, "sigma": prob.params.sigma}
-        extra.update(_RUNNERS[cfg.scenario](cfg, prob, outdir))
-        report, input_bytes = prob.report, prob.input_bytes
-    _write_manifest(outdir, cfg, report, extra, input_bytes)
+    extra = prob.manifest_fields()
+    extra.update(_RUNNERS[cfg.scenario](cfg, prob, outdir))
+    _write_manifest(outdir, cfg, extra, prob.input_bytes)
     return extra
 
 
@@ -663,16 +663,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = parse_config(*_config_and_overrides(args))
-    if cfg.scenario == "sweep":
-        target = gauss1d_target(GaussModel1D(cfg.c_f, cfg.c_g, cfg.k, lam=cfg.lam))
-        params_for = _sweep_params(cfg)
-        for value in _sweep_values(cfg):
-            params = params_for(value)
-            report = validate_params(target, params)
+    prob = _build_problem(cfg)
+    if prob.grid:  # one line per sweep point
+        for value, params, report in zip(prob.grid, prob.params, prob.report):
             print(f"{cfg.sweep_kind} = {value:.6g}: tau = {params.tau:.6g}, "
                   f"sigma = {params.sigma:.6g}, tau sigma L^2 = {report.tau_sigma_L2:.6g}")
         return 0
-    prob = _build_problem(cfg)
     report = prob.report
     print(f"tau = {prob.params.tau:.6g}")
     print(f"L = {report.L:.6g}")

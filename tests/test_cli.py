@@ -3,22 +3,28 @@
 import contextlib
 import csv
 import importlib.util
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdlangevin import cli
 from pdlangevin.cli import (
     ConfigError,
     ImageGrid,
+    ScenarioConfig,
     _content_hash,
     add_gaussian_noise,
     gauss1d_stepsizes,
@@ -30,6 +36,8 @@ from pdlangevin.cli import (
     save_image_pgm,
     synthetic_phantom,
 )
+from pdlangevin.analytic import target_variance
+from pdlangevin.coupling import sweep
 from pdlangevin.linop import LinearMap, grad2d
 from pdlangevin.metrics import psnr
 from pdlangevin.samplers import run_ensemble
@@ -597,6 +605,25 @@ class TestValidateMatchesRun:
         assert main(["validate", "scenario=sweep", *overrides]) == 3
         assert main(["sweep", *overrides, "n_chains=2", "n_steps=4",
                      f"output_dir={tmp_path}/out"]) == 3
+        assert not (tmp_path / "out").exists()
+
+    def test_reference_ensemble_is_validated(self, tmp_path, capsys):
+        # the reference runs at tau / ref_tau_factor = 15: theta tau sigma L^2
+        # = 15 * 1500 * 2; validate used to pass it and run to fail after
+        # making output_dir
+        ov = ["scenario=tv2pixel", "lam=100", "tau=0.015", "ref_tau_factor=0.001"]
+        assert main(["validate", *ov]) == 3
+        assert main(["run", *ov, "n_chains=2", "n_steps=4", f"output_dir={tmp_path}/out"]) == 3
+        assert capsys.readouterr().err.count("theta*tau*sigma*L^2 = 45000 > 1") == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    def test_negative_seed_is_a_config_error(self, command, tmp_path, capsys):
+        # SeedSequence rejects it: run used to exit 3 after making output_dir
+        assert main([command, "seed=-1", "n_chains=2", "n_steps=4",
+                     f"output_dir={tmp_path}/out"]) == 2
+        assert "config error: seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_validate_prints_each_sweep_point(self, capsys):
         assert main(["validate", "scenario=sweep", "sweep_values=1,10,100"]) == 0
@@ -605,12 +632,114 @@ class TestValidateMatchesRun:
                                                           "lambda = 100"]
         assert all(line.endswith("tau sigma L^2 = 0.0001") for line in lines)
 
+    @pytest.mark.parametrize("sampler, kind, variant", [
+        ("ula", "ula", "outer"), ("prox_sub", "prox_sub", "outer"),
+        ("modified_sde", "modified_sde", "outer"), ("ulpda_general", "ulpda", "general"),
+    ])
+    def test_sweep_runs_the_configured_sampler(self, sampler, kind, variant, tmp_path):
+        # the sweep used to run ulpda_outer whatever the sampler
+        def sweep_csv(*overrides):
+            out = tmp_path / "_".join(overrides)
+            assert main(["sweep", *overrides, "sweep_values=1,10", "seed=3", "n_chains=8",
+                         "n_steps=200", "burn_in=100", f"output_dir={out}"]) == 0
+            with open(out / "sweep.csv", newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        cfg = parse_config(None, [f"sampler={sampler}", "scenario=sweep", "sweep_values=1,10",
+                                  "seed=3"])
+        prob = cli._build_problem(cfg)
+        assert prob.kind == kind
+        assert [p.noise_variant for p in prob.params] == [variant] * 2
+        want = sweep(prob.target, [1.0, 10.0], dict(zip(prob.grid, prob.params)).__getitem__,
+                     (0.0, target_variance(prob.model)), n_chains=8, n_steps=200, burn_in=100,
+                     kind=kind)
+        rows = sweep_csv(f"sampler={sampler}")
+        assert [float(r["w2"]) for r in rows] == want.w2.tolist()
+        assert rows != sweep_csv("sampler=ulpda_outer")
+
+    def test_sweep_uses_a_configured_tau(self, tmp_path, capsys):
+        # tau > 0 is used as given at every step ratio, as in every scenario
+        assert main(["validate", "scenario=sweep", "sweep_values=1,10", "tau=0.001"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[1].split(",")[0] for line in lines] == ["tau = 0.001"] * 2
+        runs = {}
+        for tau in ("0", "0.001"):
+            out = tmp_path / tau
+            assert main(["sweep", f"tau={tau}", "sweep_values=1,10", "n_chains=4", "n_steps=50",
+                         f"output_dir={out}"]) == 0
+            runs[tau] = (out / "sweep.csv").read_bytes()
+        assert runs["0"] != runs["0.001"]
+
     def test_sampler_without_oracle_is_a_config_error(self, tmp_path, capsys):
         # tv2pixel has no full-potential gradient, so ula cannot run on it
         ov = ["scenario=tv2pixel", "sampler=ula"]
         assert main(["validate", *ov]) == 2
         assert main(["run", *ov, "n_chains=2", "n_steps=5", f"output_dir={tmp_path}/out"]) == 2
         assert "f_grad" in capsys.readouterr().err
+
+
+# Largest "moderate" value of each integer field in the generated configs.
+_INT_CAPS = {"n_chains": 3, "n_steps": 5, "burn_in": 5, "thinning": 3, "seed": 1000,
+             "width": 4, "height": 4, "n_checkpoints": 5, "ref_samples": 3}
+_FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type in ("float", float)]
+# run can fail after sampling, where validate cannot see: these messages
+_AFTER_SAMPLING = re.compile(r"regime violation: (chain \d+ (of point \d+ )?diverged"
+                             r"|the moments of block '[xy]' are not finite)")
+
+
+def _value(name):
+    """A moderate finite value of a numeric config field, 0, a negative
+    value, NaN or an infinity, as its command-line text."""
+    if name in _INT_CAPS:
+        moderate, negative = st.integers(1, _INT_CAPS[name]), st.integers(-3, -1)
+    else:
+        moderate, negative = st.floats(1e-3, 1e2), st.floats(-1e2, -1e-3)
+    return st.one_of(moderate.map(str), st.just("0"), negative.map(str),
+                     st.sampled_from(["nan", "inf", "-inf"]))
+
+
+@st.composite
+def _configs(draw):
+    """Overrides over every scenario and sampler at tiny sizes, with up to
+    three numeric fields (sizes, seed and ref_tau_factor among them) set
+    to a drawn value."""
+    args = {"scenario": draw(st.sampled_from(ScenarioConfig._SCENARIOS)),
+            "sampler": draw(st.sampled_from(ScenarioConfig._SAMPLERS)),
+            "sweep_kind": draw(st.sampled_from(["lambda", "tau"])),
+            "sweep_values": ",".join(draw(st.lists(_value("lam"), min_size=1, max_size=3)))}
+    for name in ("width", "height", "n_steps", "n_chains", "ref_samples"):
+        args[name] = str(draw(st.integers(1, _INT_CAPS[name])))
+    for name in draw(st.lists(st.sampled_from([*_INT_CAPS, *_FLOAT_FIELDS]), max_size=3,
+                              unique=True)):
+        args[name] = draw(_value(name))
+    return [f"{k}={v}" for k, v in args.items()]
+
+
+class TestValidateAgreesWithRun:
+    @settings(max_examples=150, deadline=None)
+    @given(_configs())
+    @example(["scenario=gauss1d", "seed=-1", "n_chains=2", "n_steps=4"])
+    @example(["scenario=tv2pixel", "lam=100", "tau=0.015", "ref_tau_factor=0.001",
+              "n_chains=2", "n_steps=4", "ref_samples=2"])
+    def test_one_exit_code_and_no_directory_after_an_error(self, args):
+        command = "sweep" if "scenario=sweep" in args else "run"
+        codes, errs = {}, {}
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            for name in ("validate", command):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                        np.errstate(all="ignore"):
+                    codes[name] = main([name, *args, f"output_dir={out}"])
+                errs[name] = err.getvalue()
+            if codes["validate"] != codes[command]:
+                # a chain that diverges, or moments that overflow, inside the
+                # step-size contract: only sampling shows it
+                assert codes == {"validate": 0, command: 3}, (args, errs)
+                assert _AFTER_SAMPLING.search(errs[command]), (args, errs)
+                assert not (out / "manifest.json").exists()
+            elif codes[command] != 0:
+                assert not out.exists(), (args, errs)
 
 
 class TestGeneralNoise:
