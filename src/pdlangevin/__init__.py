@@ -27,7 +27,6 @@ from .linop import (
     LinearMap,
     diff_pair,
     grad2d,
-    power_iteration_norm,
     scalar_map,
     sym_grad2d,
     tgv_block,

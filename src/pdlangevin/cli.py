@@ -406,8 +406,9 @@ def _build_problem(cfg: ScenarioConfig) -> _Problem:
         r2, zeros = math.sqrt(2.0), lambda a, k: np.zeros(a.shape[:-1] + (k,))
         blocks = dict(
             B_X=LinearMap(lambda xi: r2 * xi[..., :d],
-                          lambda v: np.concatenate([r2 * v, zeros(v, m)], axis=-1), d + m, d),
-            B_Y=LinearMap(lambda xi: zeros(xi, m), lambda v: zeros(v, d + m), d + m, m),
+                          lambda v: np.concatenate([r2 * v, zeros(v, m)], axis=-1), d + m, d,
+                          bound=r2),
+            B_Y=LinearMap(lambda xi: zeros(xi, m), lambda v: zeros(v, d + m), d + m, m, 0.0),
         )
     misfit = f"sampler {cfg.sampler!r} does not fit scenario {cfg.scenario!r}"
     try:  # fails on a malformed noise block
@@ -599,11 +600,11 @@ def _run_image(cfg: ScenarioConfig, prob: _Problem, outdir: Path) -> dict:
 
 
 def _run_sweep(cfg: ScenarioConfig, prob: _Problem, outdir: Path) -> dict:
-    """The stationary W2 gap at each grid point, to the target for a step
-    ratio sweep and to the continuous-time stationary law for a step size
-    sweep; one batched run of the builder's points."""
-    model, lam_sweep = prob.model, cfg.sweep_kind == "lambda"
-    reference = (0.0, target_variance(model) if lam_sweep else stationary_cov_pd(model)[0, 0])
+    """The stationary W2 gap at each grid point to the law the sampler tends
+    to: the continuous-time primal-dual one for an ``ulpda`` step size sweep,
+    else the target; one batched run of the builder's points."""
+    model, pd_limit = prob.model, cfg.sweep_kind == "tau" and prob.kind == "ulpda"
+    reference = (0.0, stationary_cov_pd(model)[0, 0] if pd_limit else target_variance(model))
     result = sweep(prob.target, prob.grid, dict(zip(prob.grid, prob.params)).__getitem__,
                    reference, n_chains=cfg.n_chains, n_steps=cfg.n_steps, burn_in=cfg.burn_in,
                    thinning=cfg.thinning, kind=prob.kind)
@@ -634,7 +635,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     prob = _build_problem(cfg)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    extra = prob.manifest_fields()
+    extra = {"tau_requested": cfg.tau, "notes": prob.notes, **prob.manifest_fields()}
     extra.update(_RUNNERS[cfg.scenario](cfg, prob, outdir))
     _write_manifest(outdir, cfg, extra, prob.input_bytes)
     return extra

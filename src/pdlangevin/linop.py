@@ -1,4 +1,4 @@
-"""Matrix-free linear operators with adjoints and operator-norm estimation.
+"""Matrix-free linear operators with adjoints and certified operator norms.
 
 Images are stored row-major as flat vectors of length ``width * height``.
 Gradient outputs interleave the (horizontal, vertical) components per pixel,
@@ -9,10 +9,14 @@ exact negative divergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+# a few ulps up: a bound computed below may land an ulp or two under the exact norm
+_ULPS_UP = 1.0 + 4.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -23,21 +27,25 @@ class LinearMap:
     shape ``(..., d)`` are supported. Each row of their result depends on
     that row alone, bit for bit (a dense map meets this through
     ``np.matvec``, not BLAS ``x @ A.T``); the samplers' kernels rely on it.
+
+    ``bound`` is a certified upper bound on ``||K||``, stated by the map's
+    builder; a map without a finite, nonnegative one is rejected.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
     dim_in: int
     dim_out: int
+    bound: float
     label: str = "K"
-    _norm_estimate: float | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if not 0.0 <= self.bound < math.inf:  # NaN fails too
+            raise ValueError(f"the norm bound must be finite and nonnegative, got {self.bound}")
 
     def norm(self) -> float:
-        """Operator norm estimate (200 power iterations from seed 0),
-        computed once and cached."""
-        if self._norm_estimate is None:
-            self._norm_estimate = power_iteration_norm(self)
-        return self._norm_estimate
+        """The certified bound on ``||K||`` the map was built with."""
+        return self.bound
 
 
 def scalar_map(k: float) -> LinearMap:
@@ -48,6 +56,7 @@ def scalar_map(k: float) -> LinearMap:
         adjoint=lambda y: k * np.asarray(y, dtype=float),
         dim_in=1,
         dim_out=1,
+        bound=abs(k),
         label=f"scalar({k})",
     )
 
@@ -63,7 +72,8 @@ def diff_pair() -> LinearMap:
         y = np.asarray(y, dtype=float)
         return np.concatenate([-y, y], axis=-1)
 
-    return LinearMap(apply=apply, adjoint=adjoint, dim_in=2, dim_out=1, label="diff_pair")
+    return LinearMap(apply=apply, adjoint=adjoint, dim_in=2, dim_out=1,
+                     bound=math.sqrt(2.0) * _ULPS_UP, label="diff_pair")
 
 
 def _forward_diffs_into(img, out) -> None:
@@ -85,6 +95,12 @@ def _neg_divergence_into(g, out) -> None:
     out[..., :, :-1] -= gh[..., :, :-1]
     out[..., 1:, :] += gv[..., :-1, :]
     out[..., :-1, :] -= gv[..., :-1, :]
+
+
+def _grad_norm(width: int, height: int) -> float:
+    """``||grad2d(width, height)||``, from the path-graph Laplacians' top eigenvalues."""
+    top = [math.sin(math.pi * (n - 1) / (2 * n)) ** 2 for n in (width, height)]
+    return 2.0 * math.sqrt(sum(top)) * _ULPS_UP
 
 
 def grad2d(width: int, height: int) -> LinearMap:
@@ -109,9 +125,8 @@ def grad2d(width: int, height: int) -> LinearMap:
         _neg_divergence_into(y.reshape(y.shape[:-1] + (height, width, 2)), out)
         return out.reshape(y.shape[:-1] + (d,))
 
-    return LinearMap(
-        apply=apply, adjoint=adjoint, dim_in=d, dim_out=2 * d, label=f"grad2d({width}x{height})"
-    )
+    return LinearMap(apply=apply, adjoint=adjoint, dim_in=d, dim_out=2 * d,
+                     bound=_grad_norm(width, height), label=f"grad2d({width}x{height})")
 
 
 def sym_grad2d(width: int, height: int) -> LinearMap:
@@ -121,6 +136,9 @@ def sym_grad2d(width: int, height: int) -> LinearMap:
     Output: 3 channels per pixel, (diag_h, diag_v, sqrt(2) * offdiag), so the
     groupwise l2 norm over the 3 channels equals the Frobenius norm of the
     symmetric 2x2 Jacobian with the off-diagonal counted twice.
+
+    Its norm bound is that of :func:`grad2d`, as ``||E v||^2 <= ||B v_h||^2 +
+    ||B v_v||^2`` for ``B`` the backward-difference gradient, of equal norm.
     """
     if width < 1 or height < 1:
         raise ValueError("image dimensions must be >= 1")
@@ -183,12 +201,16 @@ def sym_grad2d(width: int, height: int) -> LinearMap:
 
     return LinearMap(
         apply=apply, adjoint=adjoint, dim_in=2 * d, dim_out=3 * d,
-        label=f"sym_grad2d({width}x{height})",
+        bound=_grad_norm(width, height), label=f"sym_grad2d({width}x{height})",
     )
 
 
 def tgv_block(width: int, height: int, sym_grad: LinearMap) -> LinearMap:
-    """Block operator ``(u, v) -> (grad u - v, E v)`` used by the TGV prior."""
+    """Block operator ``(u, v) -> (grad u - v, E v)`` used by the TGV prior.
+
+    Its norm bound is the spectral norm of ``[[||grad||, 1], [0, ||E||]]``,
+    with ``||E||`` the bound ``sym_grad`` carries.
+    """
     d = width * height
     if sym_grad.dim_in != 2 * d:
         raise ValueError(
@@ -196,6 +218,9 @@ def tgv_block(width: int, height: int, sym_grad: LinearMap) -> LinearMap:
         )
     n_in = d + 2 * d
     n_out = 2 * d + sym_grad.dim_out
+    # top singular value of [[a, 1], [0, e]]: largest root of s^4 - (a^2 + 1 + e^2) s^2 + a^2 e^2
+    a2, e2 = _grad_norm(width, height) ** 2, sym_grad.norm() ** 2
+    bound = math.sqrt((a2 + 1.0 + e2 + math.sqrt((a2 - e2) ** 2 + 2.0 * (a2 + e2) + 1.0)) / 2.0)
 
     def image(a, channels=None):
         # view of a block of the last axis as an image; splitting one
@@ -223,31 +248,5 @@ def tgv_block(width: int, height: int, sym_grad: LinearMap) -> LinearMap:
 
     return LinearMap(
         apply=apply, adjoint=adjoint, dim_in=n_in, dim_out=n_out,
-        label=f"tgv_block({width}x{height})",
+        bound=bound * _ULPS_UP, label=f"tgv_block({width}x{height})",
     )
-
-
-def power_iteration_norm(K: LinearMap, iters: int = 200, seed: int = 0) -> float:
-    """Estimate ``||K||`` by power iteration on ``K^T K`` from a seeded start.
-
-    Deterministic given the seed; the estimate ``||K v||`` with ``||v|| = 1``
-    is the square root of a Rayleigh quotient and is nondecreasing in the
-    iteration count.
-    """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(K.dim_in)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = K.apply(v)
-        est = float(np.linalg.norm(w))
-        if est == 0.0:
-            return 0.0
-        v = K.adjoint(w)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return est
-        v = v / nv
-    return est

@@ -145,8 +145,9 @@ def validate_params(target: TargetSpec, params: SamplerParams) -> ValidationRepo
     """Check the step sizes against the stability / contraction / bias regimes.
 
     Raises only on nonpositive step sizes or on ``theta * tau * sigma * L^2 > 1``;
-    everything else is reported as flags. Strong-convexity moduli are read
-    from the prox metadata (0 when unknown, the conservative default).
+    everything else is reported as flags. ``L`` is the certified bound
+    ``target.K.norm()``, so the contract holds for the true norm. Strong-convexity
+    moduli are read from the prox metadata (0 when unknown, the conservative default).
     """
     if params.tau <= 0 or params.sigma <= 0:
         raise ValueError("step sizes must be positive")

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdlangevin import cli
+from pdlangevin import cli, models
 from pdlangevin.cli import (
     ConfigError,
     ImageGrid,
@@ -40,7 +40,7 @@ from pdlangevin.analytic import target_variance
 from pdlangevin.coupling import sweep
 from pdlangevin.linop import LinearMap, grad2d
 from pdlangevin.metrics import psnr
-from pdlangevin.samplers import run_ensemble
+from pdlangevin.samplers import SamplerParams, prepare_run, run_ensemble
 
 
 class TestStepsizes:
@@ -597,6 +597,32 @@ class TestValidateMatchesRun:
         assert main(["run", *ov, "n_chains=2", "n_steps=5", f"output_dir={tmp_path}/out"]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert f"tau = {manifest['tau']:.6g}\n" in out
+        # the configured tau (0: derive it) and the reason it was changed
+        assert manifest["tau_requested"] == 0.0
+        assert [f"note: {note}" for note in manifest["notes"]] == re.findall("note: .*", out)
+        assert manifest["notes"][0].startswith("tau lowered from 0.02")
+
+    @pytest.mark.parametrize("ov, tau", [(["scenario=tv_image", "tau=0.003"], 0.003),
+                                         (["scenario=sweep"], 0.0)], ids=["image", "sweep"])
+    def test_manifest_keeps_an_unchanged_tau(self, ov, tau, tmp_path):
+        assert main(["run", *ov, "width=8", "height=6", "n_chains=2", "n_steps=5",
+                     f"output_dir={tmp_path}/out"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["notes"] == []
+        assert manifest["tau_requested"] == manifest["tau"] == tau
+
+    @pytest.mark.parametrize("n", [32, 128])
+    @pytest.mark.parametrize("scenario", ["tv_image", "tgv_image"])
+    def test_clamped_tau_keeps_the_contract_under_the_certified_bound(self, scenario, n):
+        # a power-iteration L, low by 3.5e-3 at 128^2, let theta tau sigma L^2
+        # reach 1.0025 against the true norm
+        cfg = parse_config(None, [f"scenario={scenario}", f"width={n}", f"height={n}",
+                                  "lam=10000", "theta=0.9"])
+        prob = cli._build_problem(cfg)
+        p = prob.params
+        assert prob.notes and p.tau < 0.02
+        assert prob.report.L == prob.target.K.norm()
+        assert p.theta * p.tau * p.sigma * prob.target.K.norm() ** 2 <= 1.0 + 1e-12
 
     @pytest.mark.parametrize(
         "overrides", [["c=2"], ["sweep_kind=tau", "sweep_values=5,1", "lam=10"]], ids=["c", "tau"]
@@ -657,6 +683,16 @@ class TestValidateMatchesRun:
         assert [float(r["w2"]) for r in rows] == want.w2.tolist()
         assert rows != sweep_csv("sampler=ulpda_outer")
 
+    def test_tau_sweep_of_ula_measures_the_gap_to_the_target(self, tmp_path):
+        # ula tends to the target as tau -> 0; measured against the primal-dual
+        # law at lam = 1 it read the dualization gap, 0.350, at every tau
+        assert main(["sweep", "sampler=ula", "sweep_kind=tau", "sweep_values=0.05,0.01",
+                     "seed=4", "n_chains=64", "n_steps=4000", "burn_in=1000",
+                     f"output_dir={tmp_path}/out"]) == 0
+        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+            w2 = [float(r["w2"]) for r in csv.DictReader(fh)]
+        assert w2[-1] < 0.05
+
     def test_sweep_uses_a_configured_tau(self, tmp_path, capsys):
         # tau > 0 is used as given at every step ratio, as in every scenario
         assert main(["validate", "scenario=sweep", "sweep_values=1,10", "tau=0.001"]) == 0
@@ -676,6 +712,33 @@ class TestValidateMatchesRun:
         assert main(["validate", *ov]) == 2
         assert main(["run", *ov, "n_chains=2", "n_steps=5", f"output_dir={tmp_path}/out"]) == 2
         assert "f_grad" in capsys.readouterr().err
+
+
+class TestSetUpAppliesNoOperator:
+    """The step-size contract reads the bound each map carries, so no norm
+    is computed by applying K while a run or a validate is set up."""
+
+    def test_validate_and_prepare_run_apply_no_operator(self, monkeypatch):
+        calls = []
+
+        def counted(name, f):
+            def call(a):
+                calls.append(name)
+                return f(a)
+            return call
+
+        def counting_grad2d(width, height):
+            K = grad2d(width, height)
+            K.apply, K.adjoint = counted("apply", K.apply), counted("adjoint", K.adjoint)
+            return K
+
+        monkeypatch.setattr(models, "grad2d", counting_grad2d)
+        assert main(["validate", "scenario=tv_image", "width=128", "height=128"]) == 0
+        target = models.tv_image_target(np.zeros(128 * 128), 0.25, 3.0, 128, 128)
+        run = prepare_run(target, SamplerParams(tau=0.003, lam=10.0), n_chains=2, n_steps=1)
+        assert calls == []
+        run.drive()  # the first step: the counting map is the one that runs
+        assert {"apply", "adjoint"} <= set(calls)
 
 
 # Largest "moderate" value of each integer field in the generated configs.
@@ -771,9 +834,9 @@ class TestGeneralNoise:
         assert abs(general - outer) <= 1 << 20, (outer, general)
 
     @pytest.mark.parametrize("block, message", [
-        (lambda apply, adjoint, dim_in, dim_out: LinearMap(apply, adjoint, dim_in, 1),
+        (lambda apply, adjoint, dim_in, dim_out, bound: LinearMap(apply, adjoint, dim_in, 1, bound),
          "must map one noise dimension"),
-        (lambda apply, adjoint, dim_in, dim_out: np.zeros((dim_out, dim_in)),
+        (lambda apply, adjoint, dim_in, dim_out, bound: np.zeros((dim_out, dim_in)),
          "must be LinearMaps"),
     ], ids=["one_row", "dense"])
     def test_malformed_blocks_are_config_errors(self, block, message, monkeypatch, tmp_path,

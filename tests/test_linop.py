@@ -1,5 +1,7 @@
 """Linear operators: exact values on small inputs, adjointness, norms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,11 @@ from pdlangevin.linop import (
     LinearMap,
     diff_pair,
     grad2d,
-    power_iteration_norm,
     scalar_map,
     sym_grad2d,
     tgv_block,
 )
+from reference_maps import dense_map, power_iteration_norm
 
 
 def _adjointness(op, n_pairs=100, seed=0, rtol=1e-10):
@@ -124,17 +126,17 @@ class TestTgvBlock:
 
 
 class TestPowerIteration:
+    """The test reference the certified bounds are checked against."""
+
     def test_matches_svd_on_dense_matrix(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((6, 4))
-        op = LinearMap(apply=lambda x: x @ A.T, adjoint=lambda y: y @ A, dim_in=4, dim_out=6)
-        est = power_iteration_norm(op, iters=500)
+        est = power_iteration_norm(dense_map(A), iters=500)
         assert est == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], rel=1e-8)
 
     def test_monotone_in_iterations(self):
         rng = np.random.default_rng(6)
-        A = rng.standard_normal((5, 5))
-        op = LinearMap(apply=lambda x: x @ A.T, adjoint=lambda y: y @ A, dim_in=5, dim_out=5)
+        op = dense_map(rng.standard_normal((5, 5)))
         ests = [power_iteration_norm(op, iters=i) for i in (1, 3, 10, 50)]
         assert all(b >= a - 1e-12 for a, b in zip(ests, ests[1:]))
 
@@ -145,8 +147,7 @@ class TestPowerIteration:
         )
 
     def test_zero_operator(self):
-        op = LinearMap(apply=lambda x: 0.0 * x, adjoint=lambda y: 0.0 * y, dim_in=3, dim_out=3)
-        assert power_iteration_norm(op) == 0.0
+        assert power_iteration_norm(dense_map(np.zeros((3, 3)))) == 0.0
 
     def test_norm_cached(self):
         op = grad2d(4, 4)
@@ -155,6 +156,61 @@ class TestPowerIteration:
     def test_bad_iters(self):
         with pytest.raises(ValueError):
             power_iteration_norm(grad2d(2, 2), iters=0)
+
+
+def _dense(op):
+    """The matrix of ``op``, column j its apply on the j-th unit vector."""
+    return op.apply(np.eye(op.dim_in)).T
+
+
+_GRIDS = [(w, h) for w in range(1, 10) for h in range(1, 10)]
+_IMAGE_MAPS = {
+    "grad2d": grad2d,
+    "sym_grad2d": sym_grad2d,
+    "tgv_block": lambda w, h: tgv_block(w, h, sym_grad2d(w, h)),
+}
+
+
+class TestCertifiedBounds:
+    """``norm()`` is the bound each factory states: at least the spectral
+    norm of the dense matrix, exact to a few ulps for the gradient, and at
+    least every power-iteration estimate."""
+
+    @staticmethod
+    def _check(op):
+        exact = float(np.linalg.norm(_dense(op), 2))
+        assert op.norm() >= exact, (op.label, op.norm(), exact)
+        assert power_iteration_norm(op) <= op.norm(), op.label
+        return exact
+
+    def test_scalar_and_pair(self):
+        for op in (scalar_map(-2.5), scalar_map(0.0), scalar_map(1e-300), diff_pair()):
+            self._check(op)
+        assert scalar_map(-2.5).norm() == 2.5
+
+    @pytest.mark.parametrize("name", list(_IMAGE_MAPS))
+    def test_image_maps_on_every_small_grid(self, name):
+        for w, h in _GRIDS:
+            op = _IMAGE_MAPS[name](w, h)
+            exact = self._check(op)
+            if name == "grad2d":  # the closed form is exact, rounded up a few ulps
+                assert op.norm() <= exact * (1.0 + 10.0 * np.finfo(float).eps), (w, h)
+
+    def test_tgv_block_at_the_bench_sizes(self):
+        for n, want in ((32, 3.368926), (128, 3.372072)):
+            assert tgv_block(n, n, sym_grad2d(n, n)).norm() == pytest.approx(want, abs=1e-6)
+
+    def test_grad2d_closed_form_at_128(self):
+        top = 2.0 * math.sqrt(2.0) * math.sin(math.pi * 127 / 256)
+        assert grad2d(128, 128).norm() == pytest.approx(top, rel=1e-15)
+        assert grad2d(128, 128).norm() > power_iteration_norm(grad2d(128, 128)) + 3e-3
+
+    @pytest.mark.parametrize("bound", [-1.0, math.nan, math.inf])
+    def test_a_map_needs_a_finite_nonnegative_bound(self, bound):
+        with pytest.raises(ValueError, match="norm bound"):
+            LinearMap(apply=abs, adjoint=abs, dim_in=1, dim_out=1, bound=bound)
+        with pytest.raises(TypeError):
+            LinearMap(apply=abs, adjoint=abs, dim_in=1, dim_out=1)
 
 
 # --- reference formulas: the zeros + np.stack forms the operators replaced ---

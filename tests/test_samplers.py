@@ -30,16 +30,9 @@ from pdlangevin.samplers import (
     run_ensemble,
     validate_params,
 )
+from reference_maps import dense_map
 
 BENCH = GaussModel1D(1.0, 2.0, 1.5)
-
-
-def _dense_map(A):
-    """The LinearMap of a dense matrix, each row through ``np.matvec`` on its
-    own (a BLAS ``x @ A.T`` may change bits with the number of rows)."""
-    A = np.asarray(A, dtype=float)
-    return LinearMap(apply=lambda x: np.matvec(A, x), adjoint=lambda y: np.matvec(A.T, y),
-                     dim_in=A.shape[1], dim_out=A.shape[0])
 
 
 class TestSamplerParams:
@@ -61,15 +54,15 @@ class TestSamplerParams:
 
     @pytest.mark.parametrize("variant", ["outer", "inner"])
     def test_only_the_general_variant_takes_blocks(self, variant):
-        block = _dense_map([[math.sqrt(2.0), 0.0]])
+        block = dense_map([[math.sqrt(2.0), 0.0]])
         for blocks in (dict(B_X=block, B_Y=block), dict(B_Y=block)):
             with pytest.raises(ValueError, match="absent in the others"):
                 SamplerParams(tau=0.1, lam=1.0, noise_variant=variant, **blocks)
 
     def test_blocks_must_be_linear_maps(self):
         dense = np.array([[math.sqrt(2.0), 0.0]])
-        for blocks in (dict(B_X=dense, B_Y=_dense_map(dense)),
-                       dict(B_X=_dense_map(dense), B_Y=dense)):
+        for blocks in (dict(B_X=dense, B_Y=dense_map(dense)),
+                       dict(B_X=dense_map(dense), B_Y=dense)):
             with pytest.raises(ValueError, match="must be LinearMaps"):
                 SamplerParams(tau=0.1, lam=1.0, noise_variant="general", **blocks)
 
@@ -152,8 +145,8 @@ class TestUlpdaStep:
     def test_general_noise_reproduces_outer(self):
         target = gauss1d_target(BENCH)
         d, m = 1, 1
-        B_X = _dense_map(np.hstack([np.sqrt(2.0) * np.eye(d), np.zeros((d, m))]))
-        B_Y = _dense_map(np.zeros((m, d + m)))
+        B_X = dense_map(np.hstack([np.sqrt(2.0) * np.eye(d), np.zeros((d, m))]))
+        B_Y = dense_map(np.zeros((m, d + m)))
         tau = 1e-2
         p_out = SamplerParams(tau=tau, lam=1.0, noise_variant="outer")
         p_gen = SamplerParams(tau=tau, lam=1.0, noise_variant="general", B_X=B_X, B_Y=B_Y)
@@ -181,10 +174,10 @@ class TestUlpdaStep:
         target = _image_target()
         d, m = target.dim_primal, target.dim_dual
         rng = np.random.default_rng(4)
-        B_X, B_Y = _dense_map(rng.standard_normal((d, d + m))), _dense_map(np.ones((m, d + m)))
-        for bad in (dict(B_X=B_X, B_Y=_dense_map(np.ones((1, d + m)))),
-                    dict(B_X=_dense_map(np.ones((m, d + m))), B_Y=B_Y),
-                    dict(B_X=B_X, B_Y=_dense_map(np.ones((m, d))))):
+        B_X, B_Y = dense_map(rng.standard_normal((d, d + m))), dense_map(np.ones((m, d + m)))
+        for bad in (dict(B_X=B_X, B_Y=dense_map(np.ones((1, d + m)))),
+                    dict(B_X=dense_map(np.ones((m, d + m))), B_Y=B_Y),
+                    dict(B_X=B_X, B_Y=dense_map(np.ones((m, d))))):
             p = SamplerParams(tau=1e-2, lam=1.0, noise_variant="general", **bad)
             with pytest.raises(ValueError, match="must map one noise dimension"):
                 make_step("ulpda", target, p)
@@ -230,7 +223,7 @@ class _Spy:
 def _spy_target(d, spy):
     """K = I and identity proxes that hand back their input: any array K or
     a prox sees or returns is one the caller may still hold."""
-    K = LinearMap(apply=spy, adjoint=spy, dim_in=d, dim_out=d)
+    K = LinearMap(apply=spy, adjoint=spy, dim_in=d, dim_out=d, bound=1.0)
     identity = ProxOperator(at=lambda gamma: spy, label="identity")
     return TargetSpec(g_prox=identity, fstar_prox=identity, K=K)
 
@@ -242,8 +235,8 @@ def _variant_params(target, variant):
     rng = np.random.default_rng(0)
     return SamplerParams(
         tau=1e-2, lam=1.0, theta=0.7, noise_variant="general",
-        B_X=_dense_map(rng.standard_normal((d, d + m))),
-        B_Y=_dense_map(0.1 * rng.standard_normal((m, d + m))),
+        B_X=dense_map(rng.standard_normal((d, d + m))),
+        B_Y=dense_map(0.1 * rng.standard_normal((m, d + m))),
     )
 
 
@@ -511,7 +504,6 @@ class TestRunEnsemble:
         x0 = np.zeros(target.dim_primal)  # TGV: the image pixels, then w = 0
         x0[: noisy.size] = noisy
         p = SamplerParams(tau=0.003, lam=10.0, seed=1)
-        target.K.norm()
         tracemalloc.start()
         try:
             store = run_ensemble(
@@ -709,12 +701,12 @@ class TestBatchedEnsemble:
         with pytest.raises(ValueError, match="share the noise variant"):
             make_step("ulpda", target, mixed)
         dense_X = np.array([[math.sqrt(2.0), 0.0]])
-        B_X, B_Y = _dense_map(dense_X), _dense_map(np.zeros((1, 2)))
+        B_X, B_Y = dense_map(dense_X), dense_map(np.zeros((1, 2)))
         general = [SamplerParams(tau=1e-2, lam=1.0, noise_variant="general", B_X=B_X, B_Y=B_Y),
                    SamplerParams(tau=2e-2, lam=1.0, noise_variant="general", B_X=B_X, B_Y=B_Y)]
         assert make_step("ulpda", target, general).noise_dim == 2
         # the points share the block objects themselves: an equal copy is another block
-        for other in (_dense_map(2 * dense_X), _dense_map(dense_X)):
+        for other in (dense_map(2 * dense_X), dense_map(dense_X)):
             general[1] = SamplerParams(tau=2e-2, lam=1.0, noise_variant="general", B_X=other,
                                        B_Y=B_Y)
             with pytest.raises(ValueError, match="share the noise variant"):
@@ -728,8 +720,8 @@ class TestBatchedEnsemble:
         target = gauss1d_target(BENCH)
         blocks = {}
         if variant == "general":
-            blocks = dict(B_X=_dense_map([[math.sqrt(2.0), 0.3]]),
-                          B_Y=_dense_map([[0.1, -0.2]]))
+            blocks = dict(B_X=dense_map([[math.sqrt(2.0), 0.3]]),
+                          B_Y=dense_map([[0.1, -0.2]]))
         batch = [SamplerParams(tau=tau, lam=lam, theta=1.0, noise_variant=variant, seed=3,
                                **blocks) for tau, lam, _ in _POINTS]
         rng = np.random.default_rng(2)
