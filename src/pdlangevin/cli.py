@@ -38,6 +38,7 @@ from .metrics import (STATIONARY_THRESHOLD, EmpiricalMeasure, RunningMoments, mo
                       stationary_statistic, w2_exact, w2_pool)
 from .models import gauss1d_target, tgv_image_target, tv2pixel_target, tv_image_target
 from .samplers import (
+    NOISE_STREAMS,
     KeepSamples,
     SamplerParams,
     TargetSpec,
@@ -642,7 +643,8 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     prob = _build_problem(cfg)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    extra = {"tau_requested": cfg.tau, "notes": prob.notes, **prob.manifest_fields()}
+    extra = {"tau_requested": cfg.tau, "notes": prob.notes, "noise_streams": NOISE_STREAMS,
+             **prob.manifest_fields()}
     extra.update(_RUNNERS[cfg.scenario](cfg, prob, outdir))
     _write_manifest(outdir, cfg, extra, prob.input_bytes)
     return extra

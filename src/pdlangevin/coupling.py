@@ -23,6 +23,7 @@ from .samplers import (
     KeepSamples,
     SamplerParams,
     TargetSpec,
+    noise_stream,
     prepare_run,
     validate_params,
 )
@@ -65,7 +66,8 @@ def run_coupled_pair(
 
     The pair is a two-row run of :func:`samplers.prepare_run`, every step
     kept, whose rows both take every draw of the one stream
-    ``Philox(SeedSequence(params.seed))``.
+    ``samplers.noise_stream(params.seed)``, that is
+    ``SFC64(SeedSequence(params.seed))``.
     """
     report = validate_params(target, params)
     if not report.any_regime:
@@ -78,7 +80,7 @@ def run_coupled_pair(
     tsl = report.tau_sigma_L2
     run = prepare_run(target, params, 2, n_steps, kind=kind,
                       init=[np.stack(pair) for pair in zip(init_a, init_b)])
-    shared = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(params.seed)))
+    shared = noise_stream(params.seed)
     rows = []
 
     def record(_: int, s: ChainState) -> None:

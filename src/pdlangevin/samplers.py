@@ -386,11 +386,23 @@ class SampleStore:
         return self.xs[-1]
 
 
+# What every run's noise streams are, as its manifest records them.
+NOISE_STREAMS = "SFC64(SeedSequence([seed, chain]))"
+
+
+def noise_stream(entropy) -> np.random.Generator:
+    """The noise stream keyed by ``entropy``, an int or a sequence of ints:
+    ``Generator(SFC64(SeedSequence(entropy)))``. Distinct keys give
+    independent streams, the seeding NumPy documents for parallel ones.
+    Every sampler stream is built here."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
+
+
 def _chain_rngs(seed: int, n_chains: int) -> np.ndarray:
-    # counter-based Philox streams keyed by (master seed, chain index) through
-    # SeedSequence([seed, i]), which Philox builds: independent of any layout
+    # chain i draws from the stream keyed by (master seed, chain index):
+    # independent of the run's layout, its blocking and its ensemble size
     rngs = np.empty(n_chains, dtype=object)
-    rngs[:] = [np.random.Generator(np.random.Philox([seed, i])) for i in range(n_chains)]
+    rngs[:] = [noise_stream([seed, i]) for i in range(n_chains)]
     return rngs
 
 

@@ -590,6 +590,22 @@ class TestMainExitCodes:
         assert json.loads(text, parse_constant=reject)[field] is None
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "scenario=gauss1d"],
+    ["run", "scenario=tv2pixel", "ref_samples=20"],
+    ["run", "scenario=tv_image", "width=4", "height=4"],
+    ["run", "scenario=tgv_image", "width=4", "height=4"],
+    ["sweep", "sweep_values=1,10"],
+], ids=["gauss1d", "tv2pixel", "tv_image", "tgv_image", "sweep"])
+def test_manifest_names_the_noise_streams(args, tmp_path):
+    # the content hash covers the config, not the generator that the
+    # config's seed keys, so the manifest states the generator
+    assert main([*args, "n_chains=4", "n_steps=6", "burn_in=2",
+                 f"output_dir={tmp_path}/out"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["noise_streams"] == "SFC64(SeedSequence([seed, chain]))"
+
+
 class TestSweepOrdering:
     # the sweep grid is checked where sweep_values comes in: a config error
     def test_requires_decreasing_taus(self, tmp_path, capsys):

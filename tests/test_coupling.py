@@ -1,11 +1,12 @@
 """Coupled-chain contraction harness and bias sweeps."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from pdlangevin import coupling
+from pdlangevin import coupling, samplers
 from pdlangevin.analytic import GaussModel1D, stationary_cov_pd, target_variance
 from pdlangevin.coupling import (
     CouplingTrace,
@@ -37,6 +38,24 @@ def _inits(rng, scale=2.0):
     a = (scale * rng.standard_normal(1), scale * rng.standard_normal(1))
     b = (scale * rng.standard_normal(1), scale * rng.standard_normal(1))
     return a, b
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**31 - 1])
+def test_pair_stream_is_keyed_through_seed_sequence(seed, monkeypatch):
+    drive, shared = samplers.Run.drive, []
+
+    def spy(run, *reducers, **kwargs):
+        shared.append(copy.deepcopy(run.rngs))
+        return drive(run, *reducers, **kwargs)
+
+    monkeypatch.setattr(samplers.Run, "drive", spy)
+    init = (np.array([0.4]), np.array([-0.2]))
+    run_coupled_pair(gauss1d_target(BENCH), SamplerParams(tau=0.1, lam=1.0, seed=seed),
+                     init, init, n_steps=3)
+    [rngs] = shared
+    keyed = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+    assert rngs.shape == (1,)
+    assert rngs[0].standard_normal(16).tobytes() == keyed.standard_normal(16).tobytes()
 
 
 class TestRunCoupledPair:

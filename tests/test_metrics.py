@@ -54,6 +54,24 @@ class TestW21d:
         nu = EmpiricalMeasure(np.array([0.0, 0.0, 0.0]))
         assert w2_1d(mu, nu) == 0.0
 
+    def test_unequal_counts_integrate_the_step_quantiles(self):
+        # F^-1 is 0 on (0, 1]; G^-1 is 0 on (0, 1/2] and 1 on (1/2, 1]
+        mu, nu = EmpiricalMeasure(np.array([0.0])), EmpiricalMeasure(np.array([1.0, 0.0]))
+        assert w2_1d(mu, nu) == math.sqrt(0.5)
+
+    @given(a=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50),
+           b=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_unequal_counts_match_the_repeated_equal_count_coupling(self, a, b):
+        # repeating each point N/n times leaves the measure as it is, and
+        # at equal counts sorted matching is the exact coupling
+        n_common = math.lcm(len(a), len(b))
+        a_rep = np.sort(np.repeat(a, n_common // len(a)))
+        b_rep = np.sort(np.repeat(b, n_common // len(b)))
+        expected = math.sqrt(np.mean((a_rep - b_rep) ** 2))
+        got = w2_1d(EmpiricalMeasure(np.array(a)), EmpiricalMeasure(np.array(b)))
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
     def test_requires_1d(self):
         with pytest.raises(ValueError):
             w2_1d(EmpiricalMeasure(np.zeros((3, 2))), EmpiricalMeasure(np.zeros((3, 2))))

@@ -278,6 +278,32 @@ def test_quadratic_data_bound_form_has_the_formula_bits(case, target, var):
         np.testing.assert_array_equal(prox.at(gamma)(v), _ref_quadratic_data(v, gamma, target, var))
 
 
+@pytest.mark.parametrize("shape, gamma", [
+    ((10_000, 2), 0.015),  # tv2pixel: 10,000 chains of 2 pixels
+    ((3, 100, 2), np.array([0.01, 0.015, 0.02]).reshape(-1, 1, 1)),  # batched tv2pixel
+    ((64, 1), 0.1),  # a gauss1d ensemble
+    ((4, 64, 1), np.array([0.1, 0.01, 1e-3, 1e-4]).reshape(-1, 1, 1)),  # a batched sweep
+    ((4, 64, 1), np.repeat(np.array([0.1, 0.01, 1e-3, 1e-4]).reshape(-1, 1, 1), 64, axis=1)),
+    ((24, 32 * 32), 0.003),  # 32x32 image chains
+    ((2, 128 * 128), 0.003),  # one slab of 128x128 image chains
+], ids=["tv2pixel", "tv2pixel_batched", "gauss1d", "sweep_column", "sweep_rows", "image32",
+        "image128_slab"])
+def test_quadratic_data_tiled_pull_keeps_the_broadcast_bits(shape, gamma):
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1] % 7)
+    target, var = rng.uniform(-1.0, 1.0, shape[-1]), 0.25
+    prox = quadratic_data_prox(target, var).at(gamma)
+    whole = rng.standard_normal(shape)
+    wide = rng.standard_normal(shape[:-1] + (2 * shape[-1],))
+    # each shape twice: for short rows the second call reads the tiled pull
+    # that the first cached; a view with strided rows, as the TGV prox
+    # passes the image block
+    for v in (whole, rng.standard_normal(shape), wide[..., : shape[-1]], whole):
+        assert prox(v).tobytes() == _ref_quadratic_data(v, gamma, target, var).tobytes()
+    if np.ndim(gamma) == 0:  # a slab of fewer rows, as the last slab of a run
+        part = whole[: shape[0] // 2 + 1]
+        assert prox(part).tobytes() == _ref_quadratic_data(part, gamma, target, var).tobytes()
+
+
 @given(case=_states_and_steps(), alpha=st.floats(1e-3, 50.0))
 @settings(max_examples=100, deadline=None)
 def test_projection_bound_forms_have_the_formula_bits(case, alpha):
